@@ -302,6 +302,15 @@ impl SetAssocCache {
         self.misses
     }
 
+    /// Accounts for `n` probes that missed, as `n` calls of
+    /// [`SetAssocCache::probe`] on absent lines would: each advances the
+    /// LRU clock and counts one miss, and nothing else changes. The batch
+    /// form of a stalled access's retries over a skipped window.
+    pub fn note_probe_misses(&mut self, n: u64) {
+        self.tick += n;
+        self.misses += n;
+    }
+
     /// Valid lines currently held by `class` (occupancy monitoring, §II-B).
     pub fn occupancy(&self, class: QosId) -> usize {
         self.ways.iter().filter(|w| w.valid && w.owner == class).count()
@@ -329,6 +338,21 @@ mod tests {
         assert!(c.probe(l));
         assert_eq!(c.hits(), 1);
         assert_eq!(c.misses(), 1);
+    }
+
+    #[test]
+    fn noted_probe_misses_match_probing_absent_lines() {
+        let mut naive = small();
+        let mut batched = small();
+        for c in [&mut naive, &mut batched] {
+            c.fill(LineAddr::new(0), q(0), false);
+        }
+        for _ in 0..5 {
+            assert!(!naive.probe_write(LineAddr::new(9)));
+        }
+        batched.note_probe_misses(5);
+        // Debug prints every field, the LRU clock included.
+        assert_eq!(format!("{naive:?}"), format!("{batched:?}"));
     }
 
     #[test]

@@ -31,6 +31,26 @@ pub trait MemPort {
     /// Offers a load/store of `line` tagged `id`. Stores use the same path
     /// (write-allocate RFO).
     fn access(&mut self, now: Cycle, line: LineAddr, store: bool, id: LoadId) -> Access;
+
+    /// True when [`MemPort::access`] on `line` would certainly return
+    /// [`Access::Stall`] now, and keep doing so until the port's owner
+    /// delivers a fill. An implementation answering `true` must be able
+    /// to batch-account whatever a stalled access mutates (see
+    /// [`OooCore::stalled_accesses`]). The default `false` is always
+    /// sound: it only keeps [`OooCore::next_event_with`] conservative.
+    fn would_stall(&self, _line: LineAddr, _store: bool) -> bool {
+        false
+    }
+}
+
+/// A port that knows nothing about its stalls: the horizon of
+/// [`OooCore::next_event`]. Its `access` is never called.
+struct Opaque;
+
+impl MemPort for Opaque {
+    fn access(&mut self, _now: Cycle, _line: LineAddr, _store: bool, _id: LoadId) -> Access {
+        Access::Stall
+    }
 }
 
 /// Core structural parameters (paper Table III class of machine).
@@ -228,7 +248,20 @@ impl OooCore {
     /// * issue acts when any attention-list entry could issue or resolve
     ///   a dependence now, with timed wakes for producers whose data
     ///   arrival is already scheduled.
+    ///
+    /// Every pending port access counts as a state change here; see
+    /// [`OooCore::next_event_with`] for the port-aware horizon.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        self.next_event_with(now, &Opaque)
+    }
+
+    /// [`OooCore::next_event`] with the issue stage's port accesses
+    /// judged by `port`: an access that [`MemPort::would_stall`] changes
+    /// nothing until a fill arrives, so a core whose every pending access
+    /// would stall may be skipped until its next fill or timed wake. The
+    /// probes those stalled retries would have made are then owed, one
+    /// per [`OooCore::stalled_accesses`] per skipped cycle.
+    pub fn next_event_with<P: MemPort + ?Sized>(&self, now: Cycle, port: &P) -> Option<Cycle> {
         use pabst_simkit::horizon::Horizon;
 
         // Undrained markers: the SoC reads them every stepped cycle, so
@@ -270,7 +303,7 @@ impl OooCore {
                 let Some(idx) = seq.checked_sub(self.head_seq) else { return Some(now) };
                 let Some(entry) = self.rob.get(idx as usize) else { return Some(now) };
                 match entry {
-                    Entry::Load { state, .. } => match state {
+                    Entry::Load { state, line, .. } => match state {
                         LoadState::WaitDep(dep) => match self.load_pos.get(dep) {
                             // Producer already retired: resolving the
                             // dependence is itself a state change.
@@ -292,9 +325,11 @@ impl OooCore {
                             }
                         },
                         LoadState::Ready => {
-                            if self.outstanding < self.cfg.max_outstanding {
-                                // The port access could hit, miss or
-                                // stall — all of them mutate something.
+                            if self.outstanding < self.cfg.max_outstanding
+                                && !port.would_stall(*line, false)
+                            {
+                                // The port access could hit or miss, and
+                                // either mutates something.
                                 return Some(now);
                             }
                         }
@@ -303,8 +338,8 @@ impl OooCore {
                         // assumption broke — refuse to skip over it.
                         LoadState::Issued | LoadState::Done(_) => return Some(now),
                     },
-                    Entry::Store { issued, .. } => {
-                        if !*issued {
+                    Entry::Store { line, issued } => {
+                        if !*issued && !port.would_stall(*line, true) {
                             return Some(now);
                         }
                     }
@@ -313,6 +348,24 @@ impl OooCore {
             }
         }
         h.get()
+    }
+
+    /// The number of port accesses one [`OooCore::step`] makes while
+    /// every one of them stalls: each unissued store, plus each Ready
+    /// load when the MLP bound leaves room to issue one. (A stalled step
+    /// issues nothing, so the per-cycle issue cap never cuts the scan
+    /// short, and the MLP-bound early exit fires only when no store is
+    /// pending, i.e. when the count is zero.)
+    pub fn stalled_accesses(&self) -> u64 {
+        let stores = self.attention_stores as u64;
+        if self.outstanding >= self.cfg.max_outstanding {
+            return stores;
+        }
+        let ready = self.attention.iter().filter(|&&seq| {
+            let entry = seq.checked_sub(self.head_seq).and_then(|i| self.rob.get(i as usize));
+            matches!(entry, Some(Entry::Load { state: LoadState::Ready, .. }))
+        });
+        stores + ready.count() as u64
     }
 
     /// Accounts for `cycles` skipped quiescent cycles: a quiescent core
@@ -902,5 +955,157 @@ mod tests {
         let _ = core.take_markers();
         // With markers drained the core is wedged on its unfilled load.
         assert_eq!(core.next_event(5), None);
+    }
+
+    /// A port with a finite miss table, modelled on the SoC tile: a line
+    /// already present hits, a line already in flight merges, a new miss
+    /// takes a free entry or stalls. Counts every access offered.
+    #[derive(Clone, Default)]
+    struct MshrMem {
+        cap: usize,
+        inflight: Vec<LineAddr>,
+        present: Vec<LineAddr>,
+        calls: u64,
+    }
+    impl MemPort for MshrMem {
+        fn access(&mut self, _n: Cycle, line: LineAddr, _s: bool, _i: LoadId) -> Access {
+            self.calls += 1;
+            if self.present.contains(&line) {
+                Access::Hit(50)
+            } else if self.inflight.contains(&line) {
+                Access::Miss
+            } else if self.inflight.len() < self.cap {
+                self.inflight.push(line);
+                Access::Miss
+            } else {
+                Access::Stall
+            }
+        }
+        fn would_stall(&self, line: LineAddr, _store: bool) -> bool {
+            self.inflight.len() >= self.cap
+                && !self.inflight.contains(&line)
+                && !self.present.contains(&line)
+        }
+    }
+
+    /// Plays `script`, then stores to lines 100, 101, ...
+    struct Script {
+        ops: VecDeque<Op>,
+        next: u64,
+    }
+    impl Script {
+        fn new(ops: Vec<Op>) -> Self {
+            Self { ops: ops.into(), next: 100 }
+        }
+    }
+    impl Workload for Script {
+        fn next_op(&mut self) -> Op {
+            self.ops.pop_front().unwrap_or_else(|| {
+                self.next += 1;
+                Op::Store { addr: Addr::new(self.next * 64) }
+            })
+        }
+        fn name(&self) -> &str {
+            "script"
+        }
+    }
+
+    /// Alternating stores and independent loads to fresh lines.
+    struct StoreLoad {
+        n: u64,
+    }
+    impl Workload for StoreLoad {
+        fn next_op(&mut self) -> Op {
+            self.n += 1;
+            let addr = Addr::new(self.n * 64);
+            if self.n.is_multiple_of(2) {
+                Op::Load { addr, id: LoadId(self.n), dep: None }
+            } else {
+                Op::Store { addr }
+            }
+        }
+        fn name(&self) -> &str {
+            "store-load"
+        }
+    }
+
+    fn rob16() -> CoreConfig {
+        CoreConfig { rob: 16, width: 4, max_outstanding: 8 }
+    }
+
+    /// Steps `core` until cycle `until`, returning the port calls of the
+    /// last step.
+    fn run_to(core: &mut OooCore, wl: &mut dyn Workload, mem: &mut MshrMem, until: Cycle) -> u64 {
+        let mut last = 0;
+        for now in 0..until {
+            let before = mem.calls;
+            core.step(now, wl, mem);
+            last = mem.calls - before;
+        }
+        last
+    }
+
+    #[test]
+    fn next_event_with_parks_a_core_whose_every_access_stalls() {
+        // Two entries: stores to lines 101 and 102 take them, the rest
+        // of the ROB's stores stall on every retry.
+        let mut core = OooCore::new(rob16());
+        let mut mem = MshrMem { cap: 2, ..MshrMem::default() };
+        let mut wl = Script::new(Vec::new());
+        let calls = run_to(&mut core, &mut wl, &mut mem, 20);
+        assert_eq!(core.next_event(20), Some(20), "the port-blind horizon stays conservative");
+        assert_eq!(core.next_event_with(20, &mem), None, "only a fill can unstall the core");
+        assert_eq!(core.stalled_accesses(), calls);
+        assert!(calls > 0);
+
+        // Anything that lets one pending store through is a state change.
+        let pending = LineAddr::new(105);
+        let mut cached = mem.clone();
+        cached.present.push(pending);
+        assert_eq!(core.next_event_with(20, &cached), Some(20), "line in L1 or L2");
+        let mut merging = mem.clone();
+        merging.inflight[0] = pending;
+        assert_eq!(core.next_event_with(20, &merging), Some(20), "secondary merge");
+        let mut roomy = mem.clone();
+        roomy.cap = 3;
+        assert_eq!(core.next_event_with(20, &roomy), Some(20), "free MSHR entry");
+    }
+
+    #[test]
+    fn stalled_ready_loads_count_only_below_the_mlp_bound() {
+        let mut core = OooCore::new(rob16());
+        let mut mem = MshrMem { cap: 2, ..MshrMem::default() };
+        let mut wl = StoreLoad { n: 0 };
+        let calls = run_to(&mut core, &mut wl, &mut mem, 20);
+        assert_eq!(core.outstanding(), 1, "one load took an entry");
+        assert_eq!(core.next_event_with(20, &mem), None);
+        assert_eq!(core.stalled_accesses(), calls);
+        assert!(calls > core.attention_stores as u64, "stalled Ready loads are offered too");
+
+        // At the MLP bound Ready loads are never offered: only stores are.
+        let mut core = OooCore::new(CoreConfig { max_outstanding: 1, ..rob16() });
+        let mut mem = MshrMem { cap: 2, ..MshrMem::default() };
+        let mut wl = StoreLoad { n: 0 };
+        let calls = run_to(&mut core, &mut wl, &mut mem, 20);
+        assert_eq!(core.next_event_with(20, &mem), None);
+        assert_eq!(core.stalled_accesses(), calls);
+        assert_eq!(calls, core.attention_stores as u64);
+    }
+
+    #[test]
+    fn next_event_with_wakes_when_a_wait_dep_producer_completes() {
+        // A stalled store at the head blocks retirement; load 2 hits with
+        // latency 50 at cycle 1 and load 3 waits on it. Everything else
+        // stalls, so the producer's data arrival is the only wake.
+        let mut core = OooCore::new(rob16());
+        let mut mem = MshrMem { cap: 0, present: vec![LineAddr::new(2)], ..MshrMem::default() };
+        let mut wl = Script::new(vec![
+            Op::Store { addr: Addr::new(64) },
+            Op::Load { addr: Addr::new(2 * 64), id: LoadId(2), dep: None },
+            Op::Load { addr: Addr::new(3 * 64), id: LoadId(3), dep: Some(LoadId(2)) },
+        ]);
+        run_to(&mut core, &mut wl, &mut mem, 20);
+        assert_eq!(core.next_event_with(20, &mem), Some(51));
+        assert_eq!(core.next_event_with(51, &mem), Some(51));
     }
 }

@@ -7,7 +7,8 @@
 //! tile (core + pacer + private-cache injection path) and one per
 //! memory controller — each of which can be **parked** independently:
 //! the step loop stops visiting a parked domain, and its per-cycle
-//! bookkeeping (ROB-full stalls, pacer throttle NACKs, SAT-monitor
+//! bookkeeping (ROB-full stalls, the L1/L2 probe misses of accesses
+//! stalled on a full MSHR table, pacer throttle NACKs, SAT-monitor
 //! occupancy samples) is batch-accrued when the domain is unparked,
 //! through the same `accrue_skip` paths the global jump uses.
 //!
@@ -113,13 +114,13 @@ impl DomainSched {
     }
 
     /// Wakes tile `i` with bookkeeping accrued through (excluding)
-    /// `through`: owed ROB-full stalls to the core, owed throttle NACKs
-    /// to the pacer of the frozen injection head. A no-op when `i` is
-    /// not parked.
+    /// `through`: owed ROB-full stalls and stalled-access probe misses
+    /// ([`Tile::accrue_skip`]), owed throttle NACKs to the pacer of the
+    /// frozen injection head. A no-op when `i` is not parked.
     pub fn wake_tile(&mut self, i: usize, through: Cycle, tile: &mut Tile) {
         let owed = self.tiles.unpark(i, through);
         if owed > 0 {
-            tile.core.accrue_skip(owed);
+            tile.accrue_skip(owed);
             tile.mem.accrue_throttle_skip(owed);
             self.tile_cycles += owed;
         }

@@ -607,13 +607,14 @@ impl System {
             }
             // Per-tile quiescence: a core that provably cannot retire,
             // issue, or dispatch this cycle would only bump its ROB-full
-            // stall counter — accrue that directly and skip the pipeline
+            // stall counter and re-probe for accesses stalled on a full
+            // MSHR table — accrue that directly and skip the pipeline
             // walk. Gated on skip mode so the naive A/B baseline stays a
             // pure per-cycle interpreter.
             if skip_enabled {
-                let core_h = tile.core.next_event(now);
+                let core_h = tile.core.next_event_with(now, &tile.mem);
                 if core_h.is_none_or(|at| at > now) {
-                    tile.core.accrue_skip(1);
+                    tile.accrue_skip(1);
                     // Tile-local park: when the injection path is also
                     // quiescent past `now`, stop visiting the tile. This
                     // cycle was handled live (the injection NACK above,

@@ -251,6 +251,15 @@ impl TileMem {
     pub fn l2_stats(&self) -> (u64, u64) {
         (self.l2.hits(), self.l2.misses())
     }
+
+    /// Batch-accrues `n` stalled accesses. Made naively through
+    /// [`MemPort::access`], each would have probed L1 and L2, missed
+    /// both, and found the MSHR table full. Only valid for accesses
+    /// [`TileMem::would_stall`] answers `true` for.
+    fn accrue_stalled_probes(&mut self, n: u64) {
+        self.l1.note_probe_misses(n);
+        self.l2.note_probe_misses(n);
+    }
 }
 
 impl MemPort for TileMem {
@@ -286,6 +295,16 @@ impl MemPort for TileMem {
             MshrOutcome::Full => Access::Stall,
         }
     }
+
+    /// A full MSHR table refuses any line it is not already fetching,
+    /// and only a fill ([`TileMem::on_fill`]) frees an entry or changes
+    /// what L1 and L2 hold. Loads and stores take the same path.
+    fn would_stall(&self, line: LineAddr, _store: bool) -> bool {
+        self.mshrs.is_full()
+            && !self.mshrs.contains(line)
+            && !self.l1.contains(line)
+            && !self.l2.contains(line)
+    }
 }
 
 /// A full tile: the core plus its memory front end and workload.
@@ -315,14 +334,29 @@ impl Tile {
 
     /// The earliest cycle this tile can change state on its own: the min
     /// of the injection-queue horizon ([`TileMem::next_inject_at`]) and
-    /// the core's self-scheduled horizon. [`crate::system::System`]'s
-    /// quiescence skipping min-combines this across tiles; a too-early
-    /// answer costs speed only, never correctness.
+    /// the core's port-aware horizon ([`OooCore::next_event_with`], so
+    /// accesses stalled on a full MSHR table wait for the next fill).
+    /// [`crate::system::System`]'s quiescence skipping min-combines this
+    /// across tiles; a too-early answer costs speed only, never
+    /// correctness.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
         let mut h = pabst_simkit::horizon::Horizon::new();
         h.merge(self.mem.next_inject_at(now));
-        h.merge(self.core.next_event(now));
+        h.merge(self.core.next_event_with(now, &self.mem));
         h.get()
+    }
+
+    /// Accounts for `cycles` skipped core steps, each of which would have
+    /// bumped the ROB-full counter and re-offered every stalled access
+    /// (one L1 and one L2 probe miss each). Accesses can only be stalled
+    /// while the MSHR table is full; otherwise the core horizon would not
+    /// have let the tile skip with any access pending. The injection
+    /// path's owed NACKs are separate ([`TileMem::accrue_throttle_skip`]).
+    pub fn accrue_skip(&mut self, cycles: u64) {
+        self.core.accrue_skip(cycles);
+        if self.mem.mshrs.is_full() {
+            self.mem.accrue_stalled_probes(self.core.stalled_accesses() * cycles);
+        }
     }
 }
 
@@ -513,5 +547,84 @@ mod tests {
         let _ = m.access(1, line(1 + 8), false, LoadId(2)); // different L1 set? ensure miss
         let (h1, mi1) = m.l2_stats();
         assert!(h1 + mi1 > h0 + mi0, "L2 must have been probed");
+    }
+
+    /// Alternating compute, stores and independent loads to fresh lines.
+    struct StoreLoad {
+        n: u64,
+    }
+    impl Workload for StoreLoad {
+        fn next_op(&mut self) -> pabst_cpu::Op {
+            use pabst_cpu::Op;
+            self.n += 1;
+            let addr = pabst_cache::Addr::new(self.n * 64);
+            match self.n % 3 {
+                0 => Op::Compute(2),
+                1 => Op::Store { addr },
+                _ => Op::Load { addr, id: LoadId(self.n), dep: None },
+            }
+        }
+        fn name(&self) -> &str {
+            "store-load"
+        }
+    }
+
+    fn tile() -> Tile {
+        let core = OooCore::new(pabst_cpu::CoreConfig { rob: 32, width: 4, max_outstanding: 8 });
+        Tile { core, mem: mem(Vec::new()), workload: Box::new(StoreLoad { n: 0 }) }
+    }
+
+    /// Everything a parked window could get wrong: both caches (LRU clock
+    /// and counters included), the MSHR table and the whole core.
+    fn snapshot(t: &Tile) -> (String, String, [u64; 6]) {
+        let s = t.core.stats();
+        let (hits, misses) = t.mem.l2_stats();
+        (
+            format!("{:?}", t.mem),
+            format!("{:?}", t.core),
+            [s.retired, s.loads, s.stores, s.rob_full_cycles, hits, misses],
+        )
+    }
+
+    /// Delivers a fill to the tile as the SoC does.
+    fn fill(t: &mut Tile, line: LineAddr, now: Cycle) {
+        let loads: Vec<LoadId> = t.mem.on_fill(line).iter().filter_map(|w| w.load).collect();
+        for id in loads {
+            t.core.on_fill(now, id);
+            t.core.release_slot();
+        }
+    }
+
+    #[test]
+    fn stall_parked_tile_accrues_what_naive_steps_would_have_done() {
+        let (mut naive, mut parked) = (tile(), tile());
+        for now in 0..30 {
+            for t in [&mut naive, &mut parked] {
+                t.step_core(now);
+                // Hand the misses to the (unpaced) network.
+                while t.mem.try_inject(now).is_some() {}
+            }
+        }
+        // Four misses hold the whole MSHR table; every later access
+        // stalls, loads (below the MLP bound) and stores alike.
+        assert!(parked.mem.mshrs.is_full());
+        assert!(parked.core.stalled_accesses() > 0);
+        assert_eq!(parked.next_event(30), None, "a stalled tile waits for its next fill");
+        for now in 30..530 {
+            naive.step_core(now);
+        }
+        parked.accrue_skip(500);
+        assert_eq!(snapshot(&naive), snapshot(&parked));
+
+        // The fill wakes the tile; both go on identically.
+        let first = LineAddr::new(1);
+        fill(&mut naive, first, 530);
+        fill(&mut parked, first, 530);
+        assert_eq!(parked.next_event(530), Some(530));
+        for now in 530..600 {
+            naive.step_core(now);
+            parked.step_core(now);
+        }
+        assert_eq!(snapshot(&naive), snapshot(&parked));
     }
 }

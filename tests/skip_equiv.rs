@@ -2,8 +2,8 @@
 //! a (configuration × workload × fault plan) matrix, a run with
 //! event-horizon fast-forward enabled and one stepped naively must emit
 //! byte-identical report JSON and trace JSONL, finish on the same cycle,
-//! and retire the same instructions — the skip is an execution strategy,
-//! never a model change.
+//! and end with the same per-tile core and L2 counters — the skip is an
+//! execution strategy, never a model change.
 //!
 //! The matrix deliberately covers the paths where a wrong horizon would
 //! diverge: every regulation mode (pacer reprogramming on and off),
@@ -13,16 +13,17 @@
 //! 64 and 256 tiles (staged link arbitration), idle-heavy mesh mixes
 //! where tile-local parking (not the global jump) does the work, partial
 //! skip under the DPQ arbiter (some tiles parked while others keep the
-//! controllers live), and each fault kind — including the
-//! required mc-stall window (a frozen controller must contribute no
-//! horizon events and take no occupancy samples, and must never be
-//! parked) and epoch-skew cell (stale pacer periods must throttle
-//! identically across a skip).
+//! controllers live), tiles parked on a full L2 MSHR table (stalled
+//! stores and loads retried every cycle), and each fault kind —
+//! including the required mc-stall window (a frozen controller must
+//! contribute no horizon events and take no occupancy samples, and must
+//! never be parked) and epoch-skew cell (stale pacer periods must
+//! throttle identically across a skip).
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use pabst_cpu::Workload;
+use pabst_cpu::{LoadId, Op, Workload};
 use pabst_simkit::fault::{FaultKind, FaultPlan, FaultSpec, PPM_SCALE};
 use pabst_simkit::trace::{EpochRecord, TraceSink};
 use pabst_soc::config::{RegulationMode, SystemConfig};
@@ -66,6 +67,37 @@ fn chasers(n: usize, salt: u64) -> Vec<Box<dyn Workload>> {
 
 fn skewed(n: usize, mcs: usize, salt: u64) -> Vec<Box<dyn Workload>> {
     (0..n).map(|i| Box::new(SkewedStreamGen::new(region(), 0, mcs, salt + i as u64)) as _).collect()
+}
+
+/// Stores and independent loads in turn, each to the next line of the
+/// test region: with few L2 MSHRs the misses hold the whole table long
+/// before the core reaches its MLP bound, so Ready loads stall too.
+struct StoreLoadGen {
+    region: Region,
+    n: u64,
+    salt: u64,
+}
+
+impl Workload for StoreLoadGen {
+    fn next_op(&mut self) -> Op {
+        self.n += 1;
+        let addr = self.region.line_addr(self.n);
+        match self.n % 3 {
+            0 => Op::Compute(2),
+            1 => Op::Store { addr },
+            _ => Op::Load { addr, id: LoadId(self.salt << 40 | self.n), dep: None },
+        }
+    }
+
+    fn name(&self) -> &str {
+        "store-load"
+    }
+}
+
+fn store_loads(n: usize, salt: u64) -> Vec<Box<dyn Workload>> {
+    (0..n)
+        .map(|i| Box::new(StoreLoadGen { region: region(), n: 0, salt: salt + i as u64 }) as _)
+        .collect()
 }
 
 fn window(kind: FaultKind, target: u64, from: u64, until: u64, magnitude: u64) -> FaultSpec {
@@ -157,6 +189,31 @@ fn cells() -> Vec<Cell> {
                 SystemBuilder::new(small(), RegulationMode::Pabst)
                     .class(3, write_streams(2, 6))
                     .class(1, streams(2, 106))
+            }),
+        ),
+        cell(
+            "pabst/write-streams-2-mshrs",
+            Box::new(move || {
+                // Two L2 MSHRs: stores stall on a full table nearly every
+                // cycle, so tiles park until their next fill.
+                let mut c = small();
+                c.l2_mshrs = 2;
+                SystemBuilder::new(c, RegulationMode::Pabst)
+                    .class(3, write_streams(2, 34))
+                    .class(1, write_streams(2, 134))
+            }),
+        ),
+        cell(
+            "pabst/store-load-4-mshrs",
+            Box::new(move || {
+                // Misses fill the four MSHRs while the core still has MLP
+                // room, so Ready loads stall as well as stores: the load
+                // side of the stall predicate.
+                let mut c = small();
+                c.l2_mshrs = 4;
+                SystemBuilder::new(c, RegulationMode::Pabst)
+                    .class(3, store_loads(2, 35))
+                    .class(1, store_loads(2, 135))
             }),
         ),
         cell(
@@ -420,18 +477,50 @@ fn cells() -> Vec<Cell> {
     ]
 }
 
+/// Per-tile counters that neither the report nor the trace carries:
+/// retired, loads, stores, ROB-full cycles, L2 hits, L2 misses. Skipped
+/// windows accrue into them, so a wrong accrual shows only here.
+type TileCounters = Vec<[u64; 6]>;
+
+/// Everything one arm observes: report JSON, trace JSONL, final cycle,
+/// per-tile counters, globally jumped cycles, tile-cycles parked.
+struct Arm {
+    report: String,
+    trace: String,
+    now: u64,
+    tiles: TileCounters,
+    skipped: u64,
+    tile_parked: u64,
+}
+
 /// Runs one arm of a cell: warmup, measurement window, then every
-/// observable artifact plus the skip counter.
-fn run_arm(mk: &dyn Fn() -> SystemBuilder, skip: bool) -> (String, String, u64, u64) {
+/// observable artifact plus the skip counters.
+fn run_arm(mk: &dyn Fn() -> SystemBuilder, skip: bool) -> Arm {
     let mut sys = mk().skip(skip).build().expect("matrix cell must build");
     let trace = Jsonl::default();
     sys.add_trace_sink(Box::new(trace.clone()));
     sys.run_epochs(2);
     sys.mark_measurement();
     sys.run_epochs(4);
+    let tiles = sys
+        .tiles()
+        .iter()
+        .map(|t| {
+            let s = t.core.stats();
+            let (hits, misses) = t.mem.l2_stats();
+            [s.retired, s.loads, s.stores, s.rob_full_cycles, hits, misses]
+        })
+        .collect();
     let report = SystemReport::collect(&sys).to_json();
     let jsonl = trace.0.borrow().clone();
-    (report, jsonl, sys.now(), sys.cycles_skipped())
+    Arm {
+        report,
+        trace: jsonl,
+        now: sys.now(),
+        tiles,
+        skipped: sys.cycles_skipped(),
+        tile_parked: sys.tile_cycles_skipped(),
+    }
 }
 
 #[test]
@@ -439,20 +528,39 @@ fn every_matrix_cell_is_byte_identical_across_skip_modes() {
     let mut total_skipped = 0u64;
     let mut total_cycles = 0u64;
     for (name, mk) in cells() {
-        let (rep_s, trc_s, now_s, skipped) = run_arm(mk.as_ref(), true);
-        let (rep_n, trc_n, now_n, skipped_naive) = run_arm(mk.as_ref(), false);
-        assert_eq!(rep_s, rep_n, "{name}: report JSON diverged");
-        assert_eq!(trc_s, trc_n, "{name}: trace JSONL diverged");
-        assert_eq!(now_s, now_n, "{name}: final cycle diverged");
-        assert_eq!(skipped_naive, 0, "{name}: naive arm must not skip");
-        assert!(!trc_s.is_empty(), "{name}: trace must not be empty");
-        total_skipped += skipped;
-        total_cycles += now_s;
+        let s = run_arm(mk.as_ref(), true);
+        let n = run_arm(mk.as_ref(), false);
+        assert_eq!(s.report, n.report, "{name}: report JSON diverged");
+        assert_eq!(s.trace, n.trace, "{name}: trace JSONL diverged");
+        assert_eq!(s.now, n.now, "{name}: final cycle diverged");
+        assert_eq!(s.tiles, n.tiles, "{name}: per-tile core/L2 counters diverged");
+        assert_eq!(n.skipped, 0, "{name}: naive arm must not skip");
+        assert!(!s.trace.is_empty(), "{name}: trace must not be empty");
+        total_skipped += s.skipped;
+        total_cycles += s.now;
     }
     assert!(
         total_skipped > total_cycles / 20,
         "the matrix must exercise real skipping: {total_skipped} of {total_cycles} cycles"
     );
+}
+
+#[test]
+fn full_l2_mshr_tables_park_most_tile_cycles() {
+    // The two MSHR-bound cells are only a test of stall parking if their
+    // tiles actually park: each must elide over half its tile-cycles.
+    for (name, mk) in cells() {
+        if !name.ends_with("-mshrs") {
+            continue;
+        }
+        let arm = run_arm(mk.as_ref(), true);
+        let tile_cycles = arm.now * arm.tiles.len() as u64;
+        assert!(
+            2 * arm.tile_parked > tile_cycles,
+            "{name}: only {} of {tile_cycles} tile-cycles parked",
+            arm.tile_parked
+        );
+    }
 }
 
 #[test]
@@ -463,7 +571,7 @@ fn pointer_chasing_skips_most_of_its_cycles() {
         SystemBuilder::new(SystemConfig::small_test(), RegulationMode::Pabst)
             .class(1, chasers(2, 21))
     };
-    let (_, _, now, skipped) = run_arm(&mk, true);
+    let Arm { now, skipped, .. } = run_arm(&mk, true);
     assert!(
         skipped > now / 4,
         "chaser workloads must fast-forward a large fraction: {skipped} of {now}"
@@ -477,7 +585,7 @@ fn trace_lines_from_a_skipping_run_parse_cleanly() {
             .class(3, streams(2, 22))
             .class(1, chasers(1, 122))
     };
-    let (report, trace, _, _) = run_arm(&mk, true);
+    let Arm { report, trace, .. } = run_arm(&mk, true);
     for line in trace.lines() {
         let _ = pabst_simkit::trace::parse_line(line).expect("valid epoch record");
     }

@@ -12,9 +12,10 @@
 //! results are identical at any `--jobs` count.
 //!
 //! Each cell runs a 3:1 read-stream contest on the scaled 8-core
-//! machine with release-mode invariant checking on
-//! ([`pabst_simkit::invariant`]) and the panicking watchdog off — a
-//! wedge is something to classify here, not a reason to kill the sweep.
+//! machine with every invariant family armed
+//! ([`pabst_simkit::invariant`]) under the `Record` policy — a violation
+//! or a wedge is something to classify here, not a reason to kill the
+//! sweep.
 //! The per-cell deadline is an **epoch budget**, not a wall clock: every
 //! run executes exactly `warmup + epochs` epochs (the simulator always
 //! advances cycles, so a "hang" cannot actually hang), and a cell is
@@ -45,6 +46,7 @@ use crate::table::Table;
 use pabst_core::governor::GovernorKind;
 use pabst_dram::ArbiterMode;
 use pabst_simkit::fault::{FaultKind, FaultPlan, FaultSpec, PPM_SCALE};
+use pabst_simkit::invariant::ViolationPolicy;
 use pabst_simkit::stats::allocation_error_pct;
 use pabst_soc::config::{RegulationMode, SystemConfig};
 use pabst_soc::system::{System, SystemBuilder};
@@ -342,10 +344,9 @@ pub fn run_cell(cell: &ChaosCell, epochs: usize, seed: u64) -> (CellOutcome, Opt
         let mut cfg = SystemConfig::scaled_8core();
         cfg.governor = governor;
         cfg.arbiter = arbiter;
-        // The checker classifies wedges; the watchdog's panic would
-        // just turn every timeout into a noisier panic.
-        cfg.watchdog_epochs = 0;
-        cfg.invariants.enabled = true;
+        // The checker classifies violations and wedges; a panic would
+        // turn every one of them into an opaque `panic` row.
+        cfg.invariants.policy = ViolationPolicy::Record;
         cfg.invariants.bound_checks = true;
         cfg.invariants.liveness_epochs = LIVENESS_EPOCHS;
         let mut sys = SystemBuilder::new(cfg, RegulationMode::Pabst)

@@ -25,10 +25,10 @@
 //! the byte-identical guarantee.
 //!
 //! Cells are additionally **failure-isolated**: each runs under
-//! [`std::panic::catch_unwind`], so one panicking cell (a watchdog abort,
-//! a scenario bug) becomes a [`CellFailure`] record in the merged output
-//! — tagged with experiment/config/seed for one-command repro — instead
-//! of killing the whole sweep. Failure records occupy the failed cell's
+//! [`std::panic::catch_unwind`], so one panicking cell (an invariant
+//! violation, a scenario bug) becomes a [`CellFailure`] record in the
+//! merged output — tagged with experiment/config/seed for one-command
+//! repro — instead of killing the whole sweep. Failure records occupy the failed cell's
 //! submission-order slot, so the merged report stays deterministic at
 //! any `--jobs` value. [`run_cli`] stops after the first experiment with
 //! failures unless `--keep-going` is set, and exits non-zero either way.

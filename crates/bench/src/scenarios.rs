@@ -418,13 +418,6 @@ pub struct Fig11Cell {
     pub static_ipc: f64,
 }
 
-impl Fig11Cell {
-    /// Percent improvement of PABST over the static allocation.
-    pub fn improvement_pct(&self) -> f64 {
-        (self.pabst_ipc / self.static_ipc - 1.0) * 100.0
-    }
-}
-
 /// Runs one Fig. 11 workload: four 8-core classes of the same SPEC proxy
 /// at equal 25% shares, against an 8-core isolated run with DDR scaled
 /// down 4x.
@@ -655,7 +648,7 @@ pub struct ResilienceResult {
 }
 
 /// Runs one resilience cell: a 3:1 read-stream contest on the scaled
-/// 8-core machine with `plan` injected and the forward-progress watchdog
+/// 8-core machine with `plan` injected and the `mc service` liveness law
 /// armed — a fault mix that truly wedges the machine becomes a panic the
 /// sweep harness records as a cell failure, not a hung run.
 pub fn resilience_cell(
@@ -665,7 +658,7 @@ pub fn resilience_cell(
     ctx: &mut RunCtx,
 ) -> ResilienceResult {
     let mut cfg = SystemConfig::scaled_8core();
-    cfg.watchdog_epochs = 50;
+    cfg.invariants.liveness_epochs = 49;
     let mut sys = SystemBuilder::new(cfg, RegulationMode::Pabst)
         .class(3, read_streamers(0, 4, seed))
         .class(1, read_streamers(1, 4, seed))

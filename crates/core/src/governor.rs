@@ -205,7 +205,7 @@ pub trait Governor: fmt::Debug {
     fn degraded_epochs(&self) -> u64;
 
     /// A typed point-in-time view of the governor's state machine for the
-    /// trace layer and watchdog diagnostics. Pure.
+    /// trace layer and liveness-violation snapshots. Pure.
     fn snapshot(&self) -> MonitorSnapshot;
 
     /// Stable mechanism label for reports and provenance hashing.

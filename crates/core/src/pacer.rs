@@ -192,7 +192,7 @@ impl Pacer {
     }
 
     /// Cycles `C_next` currently trails `now`, *without* applying the lazy
-    /// clamp — the raw view the invariant sanitizer inspects right after
+    /// clamp — the raw view the invariant checker inspects right after
     /// an epoch-boundary reprogramming (which clamps).
     pub fn credit_at(&self, now: Cycle) -> Cycle {
         now.saturating_sub(self.c_next)

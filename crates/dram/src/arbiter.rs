@@ -43,7 +43,7 @@ use pabst_simkit::Cycle;
 /// * `on_picked` is called once per *read* data-bus grant; writes drain
 ///   unprioritized and are never reported.
 /// * `clock` must be monotonically nondecreasing per class (the epoch
-///   sanitizer verifies this through
+///   invariant checker verifies this through
 ///   [`crate::MemController::virtual_clock`]).
 /// * `next_event` follows the horizon contract: conservative answers are
 ///   fine, late ones are not. Arbiters whose priority state only changes
@@ -381,7 +381,7 @@ impl TargetArbiter for PerBankArbiter {
 
     fn clock(&self, id: QosId) -> u64 {
         // The class's furthest per-bank progress: a max of monotone
-        // clocks, so the sanitizer's monotonicity check holds.
+        // clocks, so the invariant checker's monotonicity law holds.
         self.banks.iter().map(|c| c.clock(id)).max().unwrap_or(0)
     }
 

@@ -216,7 +216,7 @@ pub struct MemController {
     /// into backpressure.
     ingress_rejects: u64,
     /// Requests accepted at the ingress (inflow side of the conservation
-    /// invariant the sanitizer checks each epoch).
+    /// law the invariant checker evaluates each epoch).
     accepted: u64,
     /// Max cycles a bank-queue entry may wait before overriding row-hit
     /// preference (starvation guard).
@@ -430,14 +430,15 @@ impl MemController {
 
     /// Requests accepted at the ingress so far. At any instant
     /// `accepted == completed reads + completed writes + pending()` — the
-    /// conservation invariant the epoch sanitizer verifies.
+    /// conservation law the epoch invariant checker verifies.
     pub fn accepted(&self) -> u64 {
         self.accepted
     }
 
     /// Current virtual-clock value of `id`'s class in the priority
     /// arbiter. Monotonically nondecreasing (stamps advance it; the slack
-    /// floor only ever raises it), which the epoch sanitizer verifies.
+    /// floor only ever raises it), which the epoch invariant checker
+    /// verifies.
     pub fn virtual_clock(&self, id: QosId) -> u64 {
         self.arbiter.clock(id)
     }

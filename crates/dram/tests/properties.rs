@@ -94,8 +94,8 @@ fn dpq_service_bound_holds_in_controller() {
 }
 
 /// Per-class virtual clocks are monotone through the trait seam for
-/// every deadline-carrying mechanism (the epoch sanitizer relies on
-/// this).
+/// every deadline-carrying mechanism (the epoch invariant checker
+/// relies on this).
 #[test]
 fn zoo_clocks_monotone() {
     for mode in ArbiterMode::ALL {

@@ -274,9 +274,9 @@ impl FaultPlan {
     }
 
     /// FNV-1a digest of the plan's canonical JSONL serialization — a
-    /// stable provenance fingerprint carried by watchdog snapshots and
-    /// campaign failure records so any failure line names the exact
-    /// plan that produced it. The empty plan digests to the FNV offset
+    /// stable provenance fingerprint carried by liveness-violation
+    /// snapshots and campaign failure records so any failure line names
+    /// the exact plan that produced it. The empty plan digests to the FNV offset
     /// basis.
     pub fn digest(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

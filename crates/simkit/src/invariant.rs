@@ -1,19 +1,30 @@
-//! Always-on runtime invariant checker: conservation, bound, and
-//! liveness laws evaluated at epoch boundaries.
+//! The runtime invariant checker: conservation, bound, monotonicity and
+//! liveness laws evaluated at epoch boundaries, in every build profile.
 //!
-//! The [`crate::sanitizer::Sanitizer`] is a debug-build tripwire: it
-//! panics on the first violated law and compiles to no-ops in release
-//! builds. Chaos campaigns need the opposite trade: the laws must hold
-//! in `--release` (where campaigns actually run), and a violation must
-//! be *recorded* — typed, with a component snapshot — rather than abort
-//! the sweep, so the campaign driver can classify the cell and hand the
-//! fault plan to the shrinker. [`InvariantChecker`] is that recorder.
+//! PABST's accounting is exact by construction — pacer credit is bounded
+//! by the burst window, per-class virtual clocks only move forward, and
+//! every request a controller accepts leaves it exactly once. Those laws
+//! are what make the paper's proportional-share claims trustworthy, so
+//! the SoC epoch loop re-verifies them at every boundary. This checker is
+//! the only place that does so.
+//!
+//! What happens on a violation is the [`ViolationPolicy`]:
+//!
+//! * [`ViolationPolicy::Panic`] (the default) panics at the epoch where
+//!   the law first failed, with the violation's text — law, component,
+//!   epoch, cycle, observed value, limit and a component snapshot. A
+//!   drifting counter surfaces as a test failure, and a wedged machine
+//!   as a sweep-harness cell failure, not as a silently wrong figure.
+//! * [`ViolationPolicy::Record`] keeps running and records the typed
+//!   violation, so a chaos campaign can classify the cell and hand its
+//!   fault plan to the shrinker.
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Deterministic and read-only.** The checker observes simulator
-//!    state and mutates only its own bookkeeping; a system run with
-//!    checking enabled is byte-identical to one without. Integer
+//!    state and mutates only its own bookkeeping; arming more laws
+//!    (bound checks, a liveness window) leaves a clean run
+//!    byte-identical. Integer
 //!    arithmetic only — it sits on the hot epoch path of
 //!    `System::advance`, which must stay float- and entropy-free.
 //! 2. **Cheap.** All checks run once per epoch (tens of thousands of
@@ -29,9 +40,7 @@
 //! capacity, pacer credit vs. burst window, the DPQ worst-case service
 //! bound), monotonicity (per-class virtual clocks never run backwards),
 //! and liveness (a component with queued work must deliver bytes within
-//! a configured number of epochs — the watchdog generalized to
-//! per-component forward-progress windows that report instead of
-//! panicking).
+//! a configured number of epochs).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -40,18 +49,28 @@ use std::fmt;
 /// stored, keeping a worst-case cell's memory bounded.
 pub const MAX_RECORDED: usize = 64;
 
+/// What the checker does when a law fails.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ViolationPolicy {
+    /// Record the violation in the [`InvariantReport`] and keep running
+    /// (chaos campaigns, which classify cells by their violations).
+    Record,
+    /// Panic with the violation's text at the epoch it was observed.
+    #[default]
+    Panic,
+}
+
 /// Knobs for the runtime invariant checker, carried by the system
 /// config so campaign runs and golden runs can differ.
 ///
 /// The struct is deliberately **not** part of the mechanism hash:
-/// checking is observation, not mechanism, and enabling it must leave
+/// checking is observation, not mechanism, and arming it must leave
 /// every golden byte-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct InvariantConfig {
-    /// Master switch. On by default — the checker is cheap enough to
-    /// run everywhere, and goldens stay byte-identical because it only
-    /// reads state.
-    pub enabled: bool,
+    /// Panic on the first violation (the default) or record it and keep
+    /// running.
+    pub policy: ViolationPolicy,
     /// Promote the DPQ worst-case service bound (and any other
     /// release-gated bound checks) from `debug_assert!` to counted
     /// release-mode checks. Off by default: golden runs skip the
@@ -63,12 +82,6 @@ pub struct InvariantConfig {
     /// disables the liveness family (the default — idle-heavy golden
     /// workloads legitimately sit still for long stretches).
     pub liveness_epochs: u64,
-}
-
-impl Default for InvariantConfig {
-    fn default() -> Self {
-        Self { enabled: true, bound_checks: false, liveness_epochs: 0 }
-    }
 }
 
 /// The family a violated law belongs to; campaign reports group by it.
@@ -197,19 +210,9 @@ pub struct InvariantChecker {
 }
 
 impl InvariantChecker {
-    /// A checker honoring `cfg` (a disabled checker evaluates nothing).
+    /// A checker honoring `cfg`.
     pub fn new(cfg: InvariantConfig) -> Self {
         Self { cfg, ..Self::default() }
-    }
-
-    /// Whether any law will be evaluated at all.
-    pub fn enabled(&self) -> bool {
-        self.cfg.enabled
-    }
-
-    /// The configuration this checker was built with.
-    pub fn config(&self) -> InvariantConfig {
-        self.cfg
     }
 
     /// Stamps the epoch/cycle every subsequent violation this boundary
@@ -224,6 +227,12 @@ impl InvariantChecker {
         &self.report
     }
 
+    /// Handles one failed law under the configured policy.
+    ///
+    /// # Panics
+    ///
+    /// Under [`ViolationPolicy::Panic`], always, with the violation's
+    /// [`Display`](fmt::Display) text.
     fn record(
         &mut self,
         law: InvariantLaw,
@@ -234,18 +243,24 @@ impl InvariantChecker {
         detail: impl FnOnce() -> String,
     ) {
         self.report.total += 1;
-        if self.report.violations.len() < MAX_RECORDED {
-            self.report.violations.push(InvariantViolation {
-                law,
-                name,
-                unit,
-                epoch: self.epoch,
-                cycle: self.cycle,
-                observed,
-                limit,
-                detail: detail(),
-            });
+        let panics = self.cfg.policy == ViolationPolicy::Panic;
+        if !panics && self.report.violations.len() >= MAX_RECORDED {
+            return;
         }
+        let v = InvariantViolation {
+            law,
+            name,
+            unit,
+            epoch: self.epoch,
+            cycle: self.cycle,
+            observed,
+            limit,
+            detail: detail(),
+        };
+        if panics {
+            panic!("{v}");
+        }
+        self.report.violations.push(v);
     }
 
     /// Bound law: `value <= limit`.
@@ -257,9 +272,6 @@ impl InvariantChecker {
         limit: u64,
         detail: impl FnOnce() -> String,
     ) {
-        if !self.cfg.enabled {
-            return;
-        }
         self.report.checks += 1;
         if value > limit {
             self.record(InvariantLaw::Bound, name, unit, value, limit, detail);
@@ -276,9 +288,6 @@ impl InvariantChecker {
         value: u64,
         detail: impl FnOnce() -> String,
     ) {
-        if !self.cfg.enabled {
-            return;
-        }
         self.report.checks += 1;
         let floor = self.floors.entry((name, unit, lane)).or_insert(0);
         if value < *floor {
@@ -300,9 +309,6 @@ impl InvariantChecker {
         outstanding: u64,
         detail: impl FnOnce() -> String,
     ) {
-        if !self.cfg.enabled {
-            return;
-        }
         self.report.checks += 1;
         let accounted = settled.saturating_add(outstanding);
         if credited != accounted {
@@ -321,9 +327,6 @@ impl InvariantChecker {
         total: u64,
         detail: impl FnOnce() -> String,
     ) {
-        if !self.cfg.enabled {
-            return;
-        }
         self.report.checks += 1;
         let prev = self.totals.entry((name, unit)).or_insert(0);
         if total > *prev {
@@ -344,7 +347,7 @@ impl InvariantChecker {
         has_work: bool,
         detail: impl FnOnce() -> String,
     ) {
-        if !self.cfg.enabled || self.cfg.liveness_epochs == 0 {
+        if self.cfg.liveness_epochs == 0 {
             return;
         }
         self.report.checks += 1;
@@ -372,19 +375,102 @@ mod tests {
 
     fn chk(liveness: u64) -> InvariantChecker {
         InvariantChecker::new(InvariantConfig {
-            enabled: true,
+            policy: ViolationPolicy::Record,
             bound_checks: true,
             liveness_epochs: liveness,
         })
     }
 
+    /// A checker under the default (`Panic`) policy, stamped at epoch 4.
+    fn panicking() -> InvariantChecker {
+        let mut c = InvariantChecker::new(InvariantConfig::default());
+        c.begin_epoch(4, 80_000);
+        c
+    }
+
+    /// Runs `law` against a fresh panicking checker and returns the
+    /// panic text, failing the test if nothing panicked.
+    fn panic_text(law: impl FnOnce(&mut InvariantChecker)) -> String {
+        let mut c = panicking();
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| law(&mut c)))
+            .expect_err("the violated law must panic under the default policy");
+        err.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
     #[test]
-    fn disabled_checker_evaluates_nothing() {
-        let mut c =
-            InvariantChecker::new(InvariantConfig { enabled: false, ..InvariantConfig::default() });
-        c.check_le("x", 0, 10, 1, String::new);
-        c.check_conserved("x", 0, 3, 1, 1, String::new);
-        assert_eq!(c.report().checks_run(), 0);
+    fn panic_policy_names_a_bound_violation() {
+        let text = panic_text(|c| {
+            c.check_le("pacer credit", 3, 11, 10, || "period=16".to_string());
+        });
+        assert!(text.starts_with("invariant [bound] pacer credit[3]"), "{text}");
+        assert!(text.contains("epoch 4 cycle 80000"), "{text}");
+        assert!(text.contains("observed 11 vs limit 10 (period=16)"), "{text}");
+    }
+
+    #[test]
+    fn panic_policy_names_a_monotonicity_violation() {
+        let text = panic_text(|c| {
+            c.check_monotone("mc virtual clock", 1, 2, 7, String::new);
+            c.check_monotone("mc virtual clock", 1, 2, 6, || "class=2".to_string());
+        });
+        assert!(text.starts_with("invariant [monotonicity] mc virtual clock[1]"), "{text}");
+        assert!(text.contains("observed 6 vs limit 7 (class=2)"), "{text}");
+    }
+
+    #[test]
+    fn panic_policy_names_a_conservation_violation() {
+        let text = panic_text(|c| {
+            c.check_conserved("mc requests", 0, 100, 90, 10, String::new);
+            c.check_conserved("mc requests", 0, 100, 90, 9, || "pending=9".to_string());
+        });
+        assert!(text.starts_with("invariant [conservation] mc requests[0]"), "{text}");
+        assert!(text.contains("observed 100 vs limit 99 (pending=9)"), "{text}");
+    }
+
+    #[test]
+    fn panic_policy_names_a_sat_duty_violation() {
+        // The SAT duty cycle is saturated epochs over total epochs; a
+        // numerator past the denominator is not a fraction.
+        let text = panic_text(|c| {
+            c.check_le("sat duty", 0, 2, 2, String::new);
+            c.check_le("sat duty", 0, 3, 2, String::new);
+        });
+        assert!(text.starts_with("invariant [bound] sat duty[0]"), "{text}");
+        assert!(text.ends_with("observed 3 vs limit 2"), "{text}");
+    }
+
+    #[test]
+    fn panic_policy_passes_a_bound_at_its_limit() {
+        let mut c = panicking();
+        c.check_le("pacer credit", 3, 10, 10, String::new);
+        assert_eq!(c.report().checks_run(), 1);
+        assert!(c.report().is_clean());
+    }
+
+    #[test]
+    fn panic_policy_accepts_a_nondecreasing_series() {
+        let mut c = panicking();
+        for v in [1, 1, 2, 5, 5, 9] {
+            c.check_monotone("mc virtual clock", 0, 2, v, String::new);
+        }
+        assert_eq!(c.report().checks_run(), 6);
+        assert!(c.report().is_clean());
+    }
+
+    #[test]
+    fn panic_policy_keeps_monotone_lanes_and_units_apart() {
+        let mut c = panicking();
+        c.check_monotone("mc virtual clock", 0, 0, 100, String::new);
+        c.check_monotone("mc virtual clock", 0, 1, 5, String::new); // other lane
+        c.check_monotone("mc virtual clock", 1, 0, 5, String::new); // other unit
+        assert!(c.report().is_clean());
+    }
+
+    #[test]
+    fn panic_policy_passes_a_balanced_book() {
+        let mut c = panicking();
+        c.check_conserved("mc requests", 0, 100, 90, 10, String::new);
+        assert_eq!(c.report().checks_run(), 1);
         assert!(c.report().is_clean());
     }
 

@@ -19,14 +19,13 @@
 //! * [`fault`] — deterministic fault-injection plans: seed-reproducible
 //!   injection decisions (SAT drop/delay/corrupt, epoch skew, MC stall,
 //!   credit leak) with a JSONL-serializable schema.
-//! * [`sanitizer::Sanitizer`] — debug-mode runtime invariant checks
-//!   (credit caps, deadline monotonicity, queue conservation) wired into
-//!   the SoC epoch loop.
-//! * [`invariant::InvariantChecker`] — the release-mode counterpart: an
-//!   always-deterministic epoch-boundary law evaluator (conservation,
-//!   bounds, monotonicity, liveness) that records typed
-//!   [`invariant::InvariantViolation`]s instead of panicking, feeding
-//!   chaos-campaign outcome classification (docs/RESILIENCE.md).
+//! * [`invariant::InvariantChecker`] — the one runtime invariant layer:
+//!   a deterministic epoch-boundary law evaluator (conservation, bounds,
+//!   monotonicity, liveness) wired into the SoC epoch loop in every build
+//!   profile. By default a violated law panics with a typed
+//!   [`invariant::InvariantViolation`]; chaos campaigns switch the policy
+//!   to record violations instead, for outcome classification
+//!   (docs/RESILIENCE.md).
 //! * [`trace`] — epoch-structured observability: typed per-epoch records,
 //!   pluggable sinks (in-memory ring, JSONL writer), and a dependency-free
 //!   integer-only serializer.
@@ -53,7 +52,6 @@ pub mod horizon;
 pub mod invariant;
 pub mod queue;
 pub mod rng;
-pub mod sanitizer;
 pub mod stats;
 pub mod trace;
 

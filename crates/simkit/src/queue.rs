@@ -108,13 +108,6 @@ impl<T> BoundedQueue<T> {
     pub fn remove(&mut self, index: usize) -> Option<T> {
         self.items.remove(index)
     }
-
-    /// Removes and returns the first item matching `pred`, scanning from the
-    /// oldest entry.
-    pub fn pop_where(&mut self, pred: impl FnMut(&T) -> bool) -> Option<T> {
-        let idx = self.items.iter().position(pred)?;
-        self.items.remove(idx)
-    }
 }
 
 /// A FIFO whose entries become visible a fixed number of cycles after they
@@ -171,14 +164,6 @@ impl<T> DelayQueue<T> {
     pub fn pop_ready(&mut self, now: Cycle) -> Option<T> {
         match self.items.front() {
             Some((ready, _)) if *ready <= now => self.items.pop_front().map(|(_, t)| t),
-            _ => None,
-        }
-    }
-
-    /// Peeks at the oldest entry if it is ready at cycle `now`.
-    pub fn peek_ready(&self, now: Cycle) -> Option<&T> {
-        match self.items.front() {
-            Some((ready, item)) if *ready <= now => Some(item),
             _ => None,
         }
     }
@@ -358,16 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_queue_pop_where_scans_oldest_first() {
-        let mut q = BoundedQueue::new(4);
-        q.push(10).unwrap();
-        q.push(21).unwrap();
-        q.push(31).unwrap();
-        assert_eq!(q.pop_where(|v| v % 10 == 1), Some(21));
-        assert_eq!(q.len(), 2);
-    }
-
-    #[test]
     #[should_panic(expected = "non-zero")]
     fn bounded_queue_zero_capacity_panics() {
         let _ = BoundedQueue::<u8>::new(0);
@@ -404,12 +379,11 @@ mod tests {
     }
 
     #[test]
-    fn delay_queue_preserves_order_and_peek() {
+    fn delay_queue_preserves_order() {
         let mut q = DelayQueue::new(2);
         q.push(0, 1);
         q.push(0, 2);
         q.push(1, 3);
-        assert_eq!(q.peek_ready(2), Some(&1));
         assert_eq!(q.pop_ready(2), Some(1));
         assert_eq!(q.pop_ready(2), Some(2));
         assert_eq!(q.pop_ready(2), None);

@@ -236,7 +236,7 @@ impl ClassSeries {
     }
 
     /// Values for epoch `e` (one per class).
-    // simlint: allow(taint-float): read-only figure-series access; plots and sanitizer assertions only
+    // simlint: allow(taint-float): read-only figure-series access; plots and test assertions only
     pub fn epoch(&self, e: usize) -> &[f64] {
         &self.points[e]
     }

@@ -250,17 +250,14 @@ pub struct SystemConfig {
     /// the per-MC variant avoids under-utilizing lightly loaded channels
     /// when traffic is skewed across controllers.
     pub per_mc_regulation: bool,
-    /// Forward-progress watchdog: abort with a full diagnostic snapshot
-    /// after this many consecutive epochs in which requests were pending
-    /// but nothing completed. Zero disables the watchdog (the default —
-    /// healthy experiments never need it; resilience runs enable it).
-    pub watchdog_epochs: u64,
-    /// Runtime invariant checking (conservation/bound/liveness laws
-    /// evaluated at epoch boundaries). Observation only: the checker
-    /// reads state and never mutates it, so it is excluded from
-    /// [`SystemConfig::mechanism_hash`] and enabling it leaves every
-    /// golden byte-identical. Chaos campaigns additionally switch on
-    /// `bound_checks` and a liveness window.
+    /// Runtime invariant checking (conservation/bound/monotonicity/
+    /// liveness laws evaluated at epoch boundaries; a violation panics by
+    /// default). Observation only: the checker reads state and never
+    /// mutates it, so it is excluded from [`SystemConfig::mechanism_hash`]
+    /// and arming it leaves every golden byte-identical. Resilience runs
+    /// set a liveness window, so a wedged controller aborts the cell with
+    /// a full machine snapshot; chaos campaigns also switch on
+    /// `bound_checks` and record violations instead of panicking.
     pub invariants: InvariantConfig,
 }
 
@@ -298,7 +295,6 @@ impl SystemConfig {
             arbiter_slack: 128,
             wb_accounting: WbAccounting::ChargeDemand,
             per_mc_regulation: false,
-            watchdog_epochs: 0,
             invariants: InvariantConfig::default(),
         }
     }

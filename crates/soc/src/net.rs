@@ -263,7 +263,7 @@ impl Interconnect {
     }
 
     /// Iterates `(mc, counted, actual)` staging conservation pairs for the
-    /// epoch sanitizer: the pending counter that gates the drain must
+    /// epoch invariant checker: the pending counter that gates the drain must
     /// agree with the class-queue contents.
     pub fn staged_conservation(&self) -> impl Iterator<Item = (usize, u64, u64)> + '_ {
         self.staged.iter().enumerate().map(|(k, queues)| {

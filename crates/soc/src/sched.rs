@@ -28,8 +28,8 @@
 //! * **ingress push** — the drain stage is about to admit a staged
 //!   request into a parked controller;
 //! * **epoch boundary** — the heartbeat reads every component
-//!   (SAT aggregation, pacer reprogramming, sanitizer), so everything
-//!   is woken first;
+//!   (SAT aggregation, pacer reprogramming, invariant checks), so
+//!   everything is woken first;
 //! * **advance settle** — `System::advance` returns; external readers
 //!   (measurement marks, reports) must see fully-accrued state.
 //!

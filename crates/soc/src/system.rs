@@ -11,7 +11,6 @@ use pabst_cpu::{OooCore, Workload};
 use pabst_dram::{ArbiterMode, Completion, MemController, MemReq};
 use pabst_simkit::fault::{FaultKind, FaultPlan};
 use pabst_simkit::invariant::{InvariantChecker, InvariantReport};
-use pabst_simkit::sanitizer::Sanitizer;
 use pabst_simkit::trace::{EpochRecord, TraceSink};
 use pabst_simkit::Cycle;
 
@@ -77,13 +76,10 @@ pub struct System {
     /// only — simulated behavior never depends on it.
     probe_cap: u64,
     epochs_run: usize,
-    /// Per-epoch invariant checks; no-ops unless debug_assertions or the
-    /// `sanitize` feature is on.
-    sanitizer: Sanitizer,
-    /// Release-mode invariant recorder (the sanitizer's always-on,
-    /// non-panicking counterpart): evaluates conservation/bound/liveness
-    /// laws at every epoch boundary and accumulates typed violations for
-    /// chaos-campaign classification. Read-only over simulator state.
+    /// Runtime invariant checker: evaluates the conservation, bound,
+    /// monotonicity and liveness laws at every epoch boundary, panicking
+    /// or recording per `cfg.invariants.policy`. Read-only over
+    /// simulator state.
     invariants: InvariantChecker,
     /// Attached observability sinks; each receives one [`EpochRecord`] per
     /// epoch boundary. Empty by default (zero overhead when unused).
@@ -114,9 +110,6 @@ pub struct System {
     mc_stall_cycles: u64,
     /// Total fault events injected so far, across all kinds.
     faults_injected: u64,
-    /// Consecutive epochs with queued memory work but zero delivered
-    /// bytes, for the forward-progress watchdog.
-    stalled_epochs: u64,
 }
 
 /// SAT broadcast history kept per monitor for the sat-delay fault kind.
@@ -171,12 +164,6 @@ impl System {
     /// Collected metrics.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// The epoch invariant sanitizer (its check counter proves the
-    /// invariants actually ran in debug/`sanitize` builds).
-    pub fn sanitizer(&self) -> &Sanitizer {
-        &self.sanitizer
     }
 
     /// Cycles elided by the event-horizon fast-forward (always zero when
@@ -379,7 +366,7 @@ impl System {
     /// in the future, the loop jumps there in one [`System::apply_skip`]
     /// call instead of stepping dead cycles. Jumps never cross an epoch
     /// boundary (or `until`), so the heartbeat — SAT aggregation, governor
-    /// update, fault windows, watchdog, sanitizer — observes the exact
+    /// update, fault windows, invariant checks — observes the exact
     /// boundary sequence naive stepping would.
     ///
     /// Probe backoff: on a saturated machine the horizon is `now` nearly
@@ -831,14 +818,14 @@ impl System {
 
     /// Epoch heartbeat: SAT aggregation (through the fault layer when a
     /// plan is attached), governor update, pacer reprogramming, metrics
-    /// snapshot, fault-window refresh, watchdog.
+    /// snapshot, fault-window refresh, invariant checks.
     fn on_epoch_boundary(&mut self) {
         let now = self.now;
         // Boundary wake: the heartbeat reads and reprograms every
         // component (SAT aggregation, pacer periods, fault windows,
-        // sanitizer), so every parked domain is woken first — owed
-        // bookkeeping accrued through the epoch's last cycle, exactly as
-        // naive stepping would have left it at this boundary.
+        // invariant checks), so every parked domain is woken first —
+        // owed bookkeeping accrued through the epoch's last cycle,
+        // exactly as naive stepping would have left it at this boundary.
         if self.skip_enabled && self.sched.any_parked() {
             self.sched.wake_all(now, &mut self.tiles, &mut self.mcs);
         }
@@ -909,7 +896,6 @@ impl System {
             }
             mc_bytes[k] = per_class.iter().sum();
         }
-        let epoch_bytes: u64 = bytes_u64.iter().sum();
         self.push_epoch_figures(&bytes_u64);
         if !self.trace_sinks.is_empty() {
             let sat = or_sat(sats.iter().copied());
@@ -935,8 +921,6 @@ impl System {
                 }
             }
         }
-        self.check_forward_progress(now, epoch_bytes);
-        self.sanitize_epoch(now);
         self.check_invariants(now, epoch, &mc_bytes);
     }
 
@@ -977,40 +961,12 @@ impl System {
         Some(sat)
     }
 
-    /// Forward-progress watchdog: aborts with a full diagnostic snapshot
-    /// after `watchdog_epochs` consecutive epochs in which memory requests
-    /// were queued somewhere but zero bytes were delivered. Disabled when
-    /// `watchdog_epochs` is 0 (the default).
-    ///
-    /// The abort is a panic so the bench harness's per-cell isolation
-    /// turns it into a failure record instead of a dead sweep.
-    fn check_forward_progress(&mut self, now: Cycle, epoch_bytes: u64) {
-        if self.cfg.watchdog_epochs == 0 {
-            return;
-        }
-        let queued = self.mcs.iter().any(|m| m.pending() > 0)
-            || self.net.any_staged()
-            || !self.mshr_wait.is_empty();
-        if queued && epoch_bytes == 0 {
-            self.stalled_epochs += 1;
-        } else {
-            self.stalled_epochs = 0;
-        }
-        if self.stalled_epochs >= self.cfg.watchdog_epochs {
-            panic!("{}", self.watchdog_diagnostic(now));
-        }
-    }
-
-    /// Renders the watchdog abort diagnostic: governor, memory-controller,
-    /// and pacer snapshots plus the fault counter, one line each.
-    fn watchdog_diagnostic(&self, now: Cycle) -> String {
+    /// Renders the whole-machine snapshot a liveness violation carries:
+    /// governor, memory-controller and pacer state plus the fault counter
+    /// and provenance, one line each.
+    fn progress_snapshot(&self, now: Cycle) -> String {
         use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "watchdog: no forward progress for {} epochs (epoch {}, cycle {})",
-            self.stalled_epochs, self.epochs_run, now
-        );
+        let mut out = String::from("machine snapshot:\n");
         for (i, mon) in self.monitors.iter().enumerate() {
             let s = mon.snapshot();
             let _ = writeln!(
@@ -1023,8 +979,12 @@ impl System {
             let s = mc.snapshot();
             let _ = writeln!(
                 out,
-                "  mc[{k}]: read_q={} write_q={} pending={} stalled={}",
-                s.read_q_depth, s.write_q_depth, s.pending, self.mc_stalled[k]
+                "  mc[{k}]: read_q={} write_q={} pending={} staged={} stalled={}",
+                s.read_q_depth,
+                s.write_q_depth,
+                s.pending,
+                self.net.staged_pending(k),
+                self.mc_stalled[k]
             );
         }
         for (i, tile) in self.tiles.iter().enumerate() {
@@ -1039,7 +999,7 @@ impl System {
         }
         let _ = writeln!(out, "  faults_injected={}", self.faults_injected);
         let _ = writeln!(out, "  mechanism_hash={:#018x}", self.cfg.mechanism_hash());
-        let _ = writeln!(
+        let _ = write!(
             out,
             "  fault_plan_digest={:#018x}",
             self.fault_plan.as_ref().map(FaultPlan::digest).unwrap_or(0)
@@ -1087,8 +1047,8 @@ impl System {
         }
     }
 
-    /// Re-verifies the paper's accounting invariants at the epoch
-    /// boundary (no-op in plain release builds):
+    /// Evaluates the invariant laws for the epoch that just ended,
+    /// panicking or recording per `cfg.invariants.policy`:
     ///
     /// * pacer credit never exceeds the burst window (§III-B3's bounded
     ///   `C_next` lag) — checked right after reprogramming, which clamps;
@@ -1096,53 +1056,20 @@ impl System {
     ///   monotonically nondecreasing (§III-C2);
     /// * memory-controller request conservation: accepted = completed +
     ///   pending, so no request is lost or double-counted;
-    /// * the SAT duty cycle is a valid fraction of epochs.
-    fn sanitize_epoch(&mut self, now: Cycle) {
-        if !self.sanitizer.enabled() {
-            return;
-        }
-        let san = &mut self.sanitizer;
-        for (i, tile) in self.tiles.iter().enumerate() {
-            // Period 0 means unthrottled: no credit bound to enforce.
-            for p in tile.mem.pacers().iter().filter(|p| p.period() > 0) {
-                san.check_le("pacer credit", i, p.credit_at(now), p.burst_window());
-            }
-        }
-        for (k, mc) in self.mcs.iter().enumerate() {
-            for c in 0..self.shares.classes() {
-                san.check_monotone("mc virtual clock", k, c, mc.virtual_clock(QosId::new(c as u8)));
-            }
-            let s = mc.stats();
-            san.check_conserved(
-                "mc requests",
-                k,
-                mc.accepted(),
-                s.reads + s.writes,
-                mc.pending() as u64,
-            );
-        }
-        // The staged-request counter that gates the per-cycle drain must
-        // agree with the actual class-queue contents.
-        for (k, counted, actual) in self.net.staged_conservation() {
-            san.check_conserved("net staged", k, counted, actual, 0);
-        }
-        let sat_epochs = self.metrics.sat_series.iter().filter(|&&s| s).count() as u64;
-        san.check_fraction("sat duty", 0, sat_epochs, self.metrics.sat_series.len() as u64);
-    }
-
-    /// Evaluates the release-mode invariant laws for the epoch that just
-    /// ended, recording (never panicking on) violations. The same
-    /// accounting laws the debug sanitizer enforces, plus the families
-    /// only this checker covers: queue occupancy vs. configured
-    /// capacity, the DPQ worst-case service bound (when
-    /// `invariants.bound_checks` promoted it to release mode), and
-    /// per-controller forward-progress liveness. `mc_bytes` carries each
-    /// controller's delivered bytes this epoch.
+    /// * queue occupancy never exceeds the configured capacity;
+    /// * the DPQ worst-case service bound (when `invariants.bound_checks`
+    ///   promoted it to release mode);
+    /// * the network's staged-request counter matches its queues;
+    /// * the SAT duty cycle is a valid fraction of epochs;
+    /// * per-controller liveness (when `invariants.liveness_epochs` is
+    ///   set): a controller with requests queued or staged toward it
+    ///   must deliver bytes within the window.
+    ///
+    /// `mc_bytes` carries each controller's delivered bytes this epoch.
     fn check_invariants(&mut self, now: Cycle, epoch: u64, mc_bytes: &[u64]) {
-        if !self.invariants.enabled() {
-            return;
-        }
-        let inv = &mut self.invariants;
+        // Taken out for the duration so the violation snapshots below can
+        // read the whole system; put back before returning.
+        let mut inv = std::mem::take(&mut self.invariants);
         inv.begin_epoch(epoch, now);
         for (i, tile) in self.tiles.iter().enumerate() {
             // Period 0 means unthrottled: no credit bound to enforce.
@@ -1197,27 +1124,27 @@ impl System {
         }
         let sat_epochs = self.metrics.sat_series.iter().filter(|&&s| s).count() as u64;
         inv.check_le("sat duty", 0, sat_epochs, self.metrics.sat_series.len() as u64, String::new);
-        // Per-controller liveness: a controller with queued requests
-        // must deliver bytes within the configured window — the
-        // watchdog's panic generalized to a per-component report.
+        // Per-controller liveness: a controller with requests queued in
+        // it or staged toward it must deliver bytes within the window.
         for (k, &bytes) in mc_bytes.iter().enumerate() {
-            let pending = self.mcs[k].pending();
-            inv.check_progress("mc service", k, bytes > 0, pending > 0, || {
-                format!("pending={pending} stalled={}", self.mc_stalled[k])
+            let has_work = self.mcs[k].pending() > 0 || self.net.staged_pending(k) > 0;
+            inv.check_progress("mc service", k, bytes > 0, has_work, || {
+                self.progress_snapshot(now)
             });
         }
+        self.invariants = inv;
     }
 
     /// The accumulated runtime-invariant report (see
-    /// [`pabst_simkit::invariant`]). Empty when checking is disabled.
+    /// [`pabst_simkit::invariant`]). Holds violations only under the
+    /// `Record` policy; under `Panic` the first one aborts the run.
     pub fn invariant_report(&self) -> &InvariantReport {
         self.invariants.report()
     }
 
     /// True when memory work is queued anywhere in the machine
     /// (controller queues, staged network requests, or the L3 MSHR
-    /// retry queue) — the same predicate the forward-progress watchdog
-    /// uses, exposed for campaign timeout classification.
+    /// retry queue), for campaign timeout classification.
     pub fn has_pending_work(&self) -> bool {
         self.mcs.iter().any(|m| m.pending() > 0)
             || self.net.any_staged()
@@ -1412,7 +1339,6 @@ impl SystemBuilder {
             probe_backoff: 1,
             probe_cap: self.probe_cap.unwrap_or(System::DEFAULT_PROBE_BACKOFF_CAP),
             epochs_run: 0,
-            sanitizer: Sanitizer::new(),
             invariants: InvariantChecker::new(self.cfg.invariants),
             trace_sinks: Vec::new(),
             prev_throttles: vec![0; cores],
@@ -1422,7 +1348,6 @@ impl SystemBuilder {
             mc_stalled,
             mc_stall_cycles: 0,
             faults_injected,
-            stalled_epochs: 0,
             fault_plan: self.fault_plan,
             cfg: self.cfg,
             mode: self.mode,
@@ -1443,6 +1368,7 @@ impl std::fmt::Debug for SystemBuilder {
 mod tests {
     use super::*;
     use pabst_cpu::Op;
+    use pabst_simkit::invariant::{InvariantConfig, ViolationPolicy};
 
     struct Idle;
     impl Workload for Idle {
@@ -1484,18 +1410,6 @@ mod tests {
         assert!(sys.tiles()[0].core.stats().retired > 0);
         // No saturation ever.
         assert!(sys.metrics().sat_series.iter().all(|&s| !s));
-    }
-
-    #[test]
-    fn sanitizer_checks_run_every_epoch() {
-        // Test builds carry debug_assertions, so the epoch sanitizer is
-        // live and must have evaluated its invariants.
-        let cfg = SystemConfig::small_test();
-        let mut sys =
-            SystemBuilder::new(cfg, RegulationMode::Pabst).class(1, idle_boxes(2)).build().unwrap();
-        sys.run_epochs(2);
-        assert!(sys.sanitizer().enabled());
-        assert!(sys.sanitizer().checks_run() > 0);
     }
 
     /// Total demand reads staged toward the memory controllers.
@@ -1642,8 +1556,10 @@ mod tests {
 
     #[test]
     fn watchdog_fires_on_a_permanently_stalled_mc() {
+        // The forward-progress watchdog is the `mc service` liveness law
+        // under the default `Panic` policy.
         let mut cfg = SystemConfig::small_test();
-        cfg.watchdog_epochs = 3;
+        cfg.invariants.liveness_epochs = 2;
         let mut plan = FaultPlan::new();
         plan.push(always(FaultKind::McStall, 0, 0));
         let digest = plan.digest();
@@ -1655,12 +1571,18 @@ mod tests {
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             sys.run_epochs(20);
         }))
-        .expect_err("a fully stalled memory system must trip the watchdog");
+        .expect_err("a fully stalled memory system must trip the liveness law");
         let msg =
             panic.downcast_ref::<String>().cloned().unwrap_or_else(|| "<non-string panic>".into());
-        assert!(msg.starts_with("watchdog: no forward progress"), "{msg}");
-        assert!(msg.contains("mc[0]"), "diagnostic must include MC snapshots: {msg}");
-        assert!(msg.contains("monitor[0]"), "diagnostic must include governor state: {msg}");
+        assert!(msg.starts_with("invariant [liveness] mc service[0]"), "{msg}");
+        assert!(msg.contains("observed 3 vs limit 2"), "{msg}");
+        assert!(msg.contains("\n  monitor[0]: m="), "governor state: {msg}");
+        assert!(
+            msg.contains("\n  mc[0]: read_q=") && msg.contains("stalled=true"),
+            "MC snapshots: {msg}"
+        );
+        assert!(msg.contains("\n  pacer[tile 0, mc 0]: period="), "pacer snapshots: {msg}");
+        assert!(msg.contains("\n  faults_injected="), "{msg}");
         assert!(
             msg.contains(&format!("mechanism_hash={:#018x}", cfg.mechanism_hash())),
             "diagnostic must carry mechanism provenance: {msg}"
@@ -1674,7 +1596,7 @@ mod tests {
     #[test]
     fn watchdog_is_silent_on_a_healthy_run() {
         let mut cfg = SystemConfig::small_test();
-        cfg.watchdog_epochs = 2;
+        cfg.invariants.liveness_epochs = 1;
         let mut sys = SystemBuilder::new(cfg, RegulationMode::Pabst)
             .class(1, stream_boxes(2))
             .build()
@@ -1739,7 +1661,7 @@ mod tests {
     #[test]
     fn finite_mc_stall_window_recovers_without_deadlock() {
         let mut cfg = SystemConfig::small_test();
-        cfg.watchdog_epochs = 5;
+        cfg.invariants.liveness_epochs = 4;
         let mut plan = FaultPlan::new();
         plan.push(FaultSpec {
             kind: FaultKind::McStall,
@@ -1762,6 +1684,19 @@ mod tests {
     }
 
     #[test]
+    fn invariant_checks_run_every_epoch_under_the_default_config() {
+        // No knob armed: the default config still evaluates the epoch
+        // laws (pacer credit, virtual clocks, request conservation).
+        let cfg = SystemConfig::small_test();
+        assert_eq!(cfg.invariants, InvariantConfig::default());
+        let mut sys =
+            SystemBuilder::new(cfg, RegulationMode::Pabst).class(1, idle_boxes(2)).build().unwrap();
+        sys.run_epochs(2);
+        assert!(sys.invariant_report().checks_run() > 0);
+        assert!(sys.invariant_report().is_clean());
+    }
+
+    #[test]
     fn invariant_checker_runs_and_stays_clean_on_a_healthy_run() {
         let mut cfg = SystemConfig::small_test();
         cfg.invariants.bound_checks = true;
@@ -1770,19 +1705,26 @@ mod tests {
             .class(1, stream_boxes(2))
             .build()
             .unwrap();
-        sys.run_epochs(10);
+        // The checker is live in every build profile and evaluates its
+        // laws at every epoch boundary.
+        let mut checks = 0;
+        for _ in 0..10 {
+            sys.run_epochs(1);
+            let now = sys.invariant_report().checks_run();
+            assert!(now > checks, "no laws evaluated at epoch {}", sys.epochs_run());
+            checks = now;
+        }
         let report = sys.invariant_report();
-        assert!(report.checks_run() > 0, "the release-mode checker must be live by default");
         assert!(report.is_clean(), "healthy run violated laws: {:?}", report.violations());
     }
 
     #[test]
     fn liveness_invariant_reports_a_wedged_mc_without_panicking() {
-        // Same wedge the watchdog test aborts on — but with the watchdog
-        // off and a liveness window configured, the run completes and
-        // the stall is *recorded* as a typed violation instead.
+        // Same wedge the watchdog test aborts on — but under the `Record`
+        // policy the run completes and the stall is *recorded* as a typed
+        // violation instead.
         let mut cfg = SystemConfig::small_test();
-        cfg.watchdog_epochs = 0;
+        cfg.invariants.policy = ViolationPolicy::Record;
         cfg.invariants.liveness_epochs = 3;
         let mut plan = FaultPlan::new();
         plan.push(always(FaultKind::McStall, 0, 0));
@@ -1808,7 +1750,7 @@ mod tests {
         // golden runs: enabling every invariant family (including the
         // release-promoted DPQ bound and a liveness window) must not
         // perturb a single trace field.
-        let run = |inv: pabst_simkit::invariant::InvariantConfig| {
+        let run = |inv: InvariantConfig| {
             let mut cfg = SystemConfig::small_test();
             cfg.invariants = inv;
             let mut sys = SystemBuilder::new(cfg, RegulationMode::Pabst)
@@ -1821,13 +1763,9 @@ mod tests {
             let records = cap.0.borrow().clone();
             records
         };
-        let off = run(pabst_simkit::invariant::InvariantConfig {
-            enabled: false,
-            bound_checks: false,
-            liveness_epochs: 0,
-        });
-        let on = run(pabst_simkit::invariant::InvariantConfig {
-            enabled: true,
+        let off = run(InvariantConfig::default());
+        let on = run(InvariantConfig {
+            policy: ViolationPolicy::Panic,
             bound_checks: true,
             liveness_epochs: 1,
         });

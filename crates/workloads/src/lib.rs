@@ -25,11 +25,9 @@ pub mod memcached;
 pub mod region;
 pub mod spec;
 pub mod stream;
-pub mod trace;
 
 pub use chaser::ChaserGen;
 pub use memcached::MemcachedGen;
 pub use region::Region;
 pub use spec::{SpecProxyGen, SpecWorkload, ALL_SPEC};
 pub use stream::{PeriodicStreamGen, SkewedStreamGen, StreamGen};
-pub use trace::{Recorder, TraceGen};

@@ -10,6 +10,7 @@ use pabst_bench::harness::run_sweep;
 use pabst_bench::registry::{self, resilience_curve, MECHANISM_COMBOS};
 use pabst_bench::scenarios::read_streamers;
 use pabst_simkit::fault::FaultPlan;
+use pabst_simkit::invariant::ViolationPolicy;
 use pabst_soc::config::{RegulationMode, SystemConfig};
 use pabst_soc::system::{System, SystemBuilder};
 
@@ -18,9 +19,9 @@ use pabst_soc::system::{System, SystemBuilder};
 const EPOCHS: usize = 24;
 
 /// One envelope probe: a 3:1 read-stream contest on the scaled 8-core
-/// machine under `plan`, with release-mode invariant checking fully
-/// armed and the panicking watchdog off (an invariant report is the
-/// assertion surface here, not a panic).
+/// machine under `plan`, with every invariant family armed under the
+/// `Record` policy (an invariant report is the assertion surface here,
+/// not a panic).
 fn probe(
     governor: pabst_core::governor::GovernorKind,
     arbiter: pabst_dram::ArbiterMode,
@@ -29,8 +30,7 @@ fn probe(
     let mut cfg = SystemConfig::scaled_8core();
     cfg.governor = governor;
     cfg.arbiter = arbiter;
-    cfg.watchdog_epochs = 0;
-    cfg.invariants.enabled = true;
+    cfg.invariants.policy = ViolationPolicy::Record;
     cfg.invariants.bound_checks = true;
     cfg.invariants.liveness_epochs = chaos::LIVENESS_EPOCHS;
     let mut sys = SystemBuilder::new(cfg, RegulationMode::Pabst)

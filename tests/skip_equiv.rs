@@ -9,7 +9,7 @@
 //! diverge: every regulation mode (pacer reprogramming on and off),
 //! pointer-chasing memory stalls (the deepest quiescent windows), write
 //! drains, skewed-controller traffic, per-MC regulation, L3-way
-//! overrides, an armed watchdog, the distance-modelled mesh network at
+//! overrides, a liveness window, the distance-modelled mesh network at
 //! 64 and 256 tiles (staged link arbitration), idle-heavy mesh mixes
 //! where tile-local parking (not the global jump) does the work, partial
 //! skip under the DPQ arbiter (some tiles parked while others keep the
@@ -266,7 +266,7 @@ fn cells() -> Vec<Cell> {
             "watchdog-armed/streams",
             Box::new(move || {
                 let mut c = small();
-                c.watchdog_epochs = 5;
+                c.invariants.liveness_epochs = 4;
                 SystemBuilder::new(c, RegulationMode::Pabst)
                     .class(3, streams(2, 13))
                     .class(1, streams(2, 113))

@@ -46,14 +46,6 @@ struct Profile {
     mc_skip_rate: f64,
 }
 
-/// One cell of the probe-backoff sweep: cycles/second with the given
-/// [`pabst_soc::system::SystemBuilder::probe_backoff_cap`].
-struct BackoffPoint {
-    prof_name: &'static str,
-    cap: u64,
-    cycles_per_sec: u64,
-}
-
 /// Serial vs parallel wall-clock for a batch of independent runs.
 struct SweepProfile {
     runs: usize,
@@ -75,10 +67,6 @@ fn chasers_1chain(class: usize, n: usize, seed: u64) -> Vec<Box<dyn Workload>> {
 }
 
 fn build(name: &str, skip: bool) -> System {
-    build_capped(name, skip, None)
-}
-
-fn build_capped(name: &str, skip: bool, cap: Option<u64>) -> System {
     let (mut cfg, per_class) = match name {
         "baseline" => (SystemConfig::baseline_32core(), 16),
         "mesh_64" => (SystemConfig::mesh_64(), 32),
@@ -96,10 +84,6 @@ fn build_capped(name: &str, skip: bool, cap: Option<u64>) -> System {
         SystemBuilder::new(cfg, RegulationMode::Pabst)
             .class(3, read_streamers(0, per_class, 0))
             .class(1, read_streamers(1, per_class, 0))
-    };
-    let b = match cap {
-        Some(c) => b.probe_backoff_cap(c),
-        None => b,
     };
     b.skip(skip).build().expect("throughput configuration")
 }
@@ -119,12 +103,7 @@ struct TimedRun {
 
 /// Times `epochs` epochs of `name` in one skip mode.
 fn time_run(name: &str, epochs: u64, skip: bool) -> TimedRun {
-    time_run_capped(name, epochs, skip, None)
-}
-
-/// [`time_run`] with an optional probe-backoff cap override (the sweep).
-fn time_run_capped(name: &str, epochs: u64, skip: bool, cap: Option<u64>) -> TimedRun {
-    let mut sys = build_capped(name, skip, cap);
+    let mut sys = build(name, skip);
     sys.run_epochs(1); // warm caches, queues, and the governor
     let skipped_before = sys.cycles_skipped();
     let tile_before = sys.tile_cycles_skipped();
@@ -182,27 +161,6 @@ fn profile(name: &'static str, epochs: u64) -> Profile {
     }
 }
 
-/// Times `baseline` and `chaser` across probe-backoff caps — the data
-/// behind the `DEFAULT_PROBE_BACKOFF_CAP` choice. A cap of 1 disables
-/// backoff (probe every cycle after a failed skip); larger caps let the
-/// probe retreat exponentially when the machine stays busy.
-fn backoff_sweep(quick: bool) -> Vec<BackoffPoint> {
-    let caps: &[u64] = if quick { &[1, 8, 64] } else { &[1, 2, 4, 8, 16, 32, 64] };
-    let epochs = if quick { 2 } else { 6 };
-    let mut points = Vec::new();
-    for prof_name in ["baseline", "chaser"] {
-        for &cap in caps {
-            let timed = time_run_capped(prof_name, epochs, true, Some(cap));
-            println!(
-                "backoff    {prof_name:<10} cap {cap:>3}  ->  {} cycles/s",
-                timed.cycles_per_sec
-            );
-            points.push(BackoffPoint { prof_name, cap, cycles_per_sec: timed.cycles_per_sec });
-        }
-    }
-    points
-}
-
 /// Times the same batch of independent small-machine runs twice through
 /// the sweep executor — once serially, once on `jobs` workers — the
 /// wall-clock scaling `all_figures --jobs N` gets on this host.
@@ -227,7 +185,7 @@ fn profile_sweep(jobs: usize, runs: usize, epochs: usize) -> SweepProfile {
     SweepProfile { runs, jobs, serial_ns, parallel_ns }
 }
 
-fn to_json(profiles: &[Profile], backoff: &[BackoffPoint], sweep: &SweepProfile) -> String {
+fn to_json(profiles: &[Profile], sweep: &SweepProfile) -> String {
     use std::fmt::Write as _;
     let mut s = String::from("{\"bench\":\"sim_throughput\",\"configs\":[");
     for (i, p) in profiles.iter().enumerate() {
@@ -256,17 +214,6 @@ fn to_json(profiles: &[Profile], backoff: &[BackoffPoint], sweep: &SweepProfile)
             p.mc_skip_rate
         );
     }
-    s.push_str("],\"backoff_sweep\":[");
-    for (i, b) in backoff.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"profile\":\"{}\",\"cap\":{},\"cycles_per_sec\":{}}}",
-            b.prof_name, b.cap, b.cycles_per_sec
-        );
-    }
     let _ = writeln!(
         s,
         "],\"sweep\":{{\"runs\":{},\"jobs\":{},\"serial_ns\":{},\"parallel_ns\":{}}}}}",
@@ -289,9 +236,6 @@ fn main() {
         profile("chaser", epochs),
     ];
 
-    // Probe-backoff cap sweep — the evidence behind the builder default.
-    let backoff = backoff_sweep(quick);
-
     // Per-epoch wall time through the micro-benchmark harness (median of
     // 9 samples, fresh warmed system per sample) — the step()-path number
     // a perf PR should move.
@@ -313,7 +257,7 @@ fn main() {
     let sweep = profile_sweep(sweep_jobs, sweep_runs, if quick { 2 } else { 6 });
 
     let out = args.out.unwrap_or_else(|| "BENCH_sim_throughput.json".to_string());
-    let json = to_json(&profiles, &backoff, &sweep);
+    let json = to_json(&profiles, &sweep);
     match std::fs::write(&out, &json) {
         Ok(()) => println!("wrote {out}"),
         Err(e) => {

@@ -80,8 +80,8 @@ struct QueuedReq {
     seq: u64,
     enq_at: Cycle,
     /// Bank index of `req.line`, decoded once at acceptance. The issue
-    /// stage and the horizon scan visit every queued entry per cycle, and
-    /// the address-decode divisions dominate that walk if recomputed.
+    /// stage visits every queued entry per cycle, and the address-decode
+    /// divisions dominate that walk if recomputed.
     bank: u32,
     /// Row index of `req.line`, decoded once at acceptance.
     row: u64,
@@ -94,6 +94,8 @@ struct Bank {
     rdy: Cycle,
     /// Consecutive times a row hit bypassed the priority-order winner.
     hit_streak: u32,
+    /// Front-end entries (both queues) waiting on this bank.
+    queued: u32,
 }
 
 /// Aggregate controller statistics.
@@ -205,6 +207,14 @@ pub struct MemController {
     satmon: SatMonitor,
     /// Column accesses whose data awaits a bus slot.
     awaiting_bus: Vec<PendingBurst>,
+    /// Earliest `rdy` over banks with a queued entry (`Cycle::MAX` when
+    /// none): the first cycle the back end could issue. Lowered at
+    /// accept and recomputed after issues (the only points that change
+    /// a bank's `rdy` or queued count), so the horizon walks no queue.
+    queued_bank_rdy: Cycle,
+    /// Earliest `ready_at` over `awaiting_bus` (`Cycle::MAX` when empty),
+    /// kept current where bursts enter and leave the data buffer.
+    bus_ready_min: Cycle,
     /// Scheduled bursts waiting for their data to finish transferring.
     inflight: Vec<(QueuedReq, Cycle)>,
     bus_free_at: Cycle,
@@ -243,8 +253,9 @@ impl MemController {
         if let Err(e) = cfg.validate() {
             panic!("invalid DramConfig: {e}");
         }
-        let banks =
-            (0..cfg.banks).map(|_| Bank { open_row: None, rdy: 0, hit_streak: 0 }).collect();
+        let banks = (0..cfg.banks)
+            .map(|_| Bank { open_row: None, rdy: 0, hit_streak: 0, queued: 0 })
+            .collect();
         Self {
             ingress: BoundedQueue::new(cfg.ingress_cap),
             read_q: BoundedQueue::new(cfg.read_q_cap),
@@ -253,6 +264,8 @@ impl MemController {
             arbiter: mode.build(shares, slack, cfg.banks),
             satmon: SatMonitor::new(cfg.read_q_cap),
             awaiting_bus: Vec::new(),
+            queued_bank_rdy: Cycle::MAX,
+            bus_ready_min: Cycle::MAX,
             inflight: Vec::new(),
             bus_free_at: 0,
             last_dir_write: false,
@@ -358,7 +371,15 @@ impl MemController {
         if self.pending() == 0 {
             return None;
         }
-        let mut h = Horizon::new();
+        // A write-drain flip the last step left pending: the next step's
+        // `update_drain_mode` changes which queue issues, so it must run
+        // before an accepted write can move the queue back across a mark.
+        let wq = self.write_q.len();
+        if (self.draining_writes && wq <= self.cfg.wr_low)
+            || (!self.draining_writes && wq >= self.cfg.wr_high)
+        {
+            return Some(now);
+        }
         if let Some(head) = self.ingress.peek() {
             let target_full =
                 if head.is_write { self.write_q.is_full() } else { self.read_q.is_full() };
@@ -366,42 +387,26 @@ impl MemController {
                 return Some(now);
             }
         }
-        if self.awaiting_bus.len() < self.cfg.data_buf_cap {
+        let mut h = Horizon::new();
+        if self.awaiting_bus.len() < self.cfg.data_buf_cap && self.queued_bank_rdy != Cycle::MAX {
             // Both queues contribute regardless of the current drain
             // mode: conservative, never late.
-            for e in self.read_q.iter().chain(self.write_q.iter()) {
-                let rdy = self.banks[e.bank as usize].rdy;
-                if rdy <= now {
-                    return Some(now);
-                }
-                h.add(rdy);
-            }
+            h.add(self.queued_bank_rdy);
         }
-        let t_burst = self.cfg.eff(self.cfg.t_burst);
-        let book = self.bus_free_at.saturating_sub(t_burst);
-        for p in &self.awaiting_bus {
-            let c = if p.ready_at <= self.bus_free_at { book } else { p.ready_at };
-            if c <= now {
-                return Some(now);
-            }
-            h.add(c);
+        if !self.awaiting_bus.is_empty() {
+            // A burst whose data is ready by the time the bus frees books
+            // when the booking window opens; a later one when its data is.
+            let book = self.bus_free_at.saturating_sub(self.cfg.eff(self.cfg.t_burst));
+            h.add(if self.bus_ready_min <= self.bus_free_at { book } else { self.bus_ready_min });
         }
         for &(_, done_at) in &self.inflight {
-            if done_at <= now {
-                return Some(now);
-            }
             h.add(done_at);
         }
         // The arbiter seam's own horizon: an arbiter whose priorities can
         // change at a future cycle without a stamp or a pick reports it
         // here so the skip contract holds for every implementation.
-        if let Some(at) = self.arbiter.next_event(now) {
-            if at <= now {
-                return Some(now);
-            }
-            h.add(at);
-        }
-        h.get()
+        h.merge(self.arbiter.next_event(now));
+        h.get().map(|at| at.max(now))
     }
 
     /// Accounts for `cycles` skipped quiescent cycles: the saturation
@@ -517,6 +522,9 @@ impl MemController {
             let backlog = if is_write { self.write_q.len() } else { self.read_q.len() };
             let deadline = self.arbiter.stamp(req.class, is_write, self.seq, bank, backlog);
             let q = QueuedReq { req, deadline, seq: self.seq, enq_at: now, bank, row };
+            let b = &mut self.banks[bank as usize];
+            b.queued += 1;
+            self.queued_bank_rdy = self.queued_bank_rdy.min(b.rdy);
             let res = if is_write { self.write_q.push(q) } else { self.read_q.push(q) };
             debug_assert!(res.is_ok(), "fullness checked above");
         }
@@ -538,6 +546,7 @@ impl MemController {
     /// between the watermarks and opportunistically when no read is
     /// pending.
     fn back_end_issue(&mut self, now: Cycle) {
+        let mut issued = false;
         for _ in 0..2 {
             if self.awaiting_bus.len() >= self.cfg.data_buf_cap {
                 break;
@@ -547,6 +556,16 @@ impl MemController {
             if !self.issue_one(now, use_writes) {
                 break;
             }
+            issued = true;
+        }
+        if issued {
+            self.queued_bank_rdy = self
+                .banks
+                .iter()
+                .filter(|b| b.queued > 0)
+                .map(|b| b.rdy)
+                .min()
+                .unwrap_or(Cycle::MAX);
         }
     }
 
@@ -557,14 +576,15 @@ impl MemController {
         if q.is_empty() {
             return false;
         }
-        let banks = &self.banks;
         // Every queue entry whose bank is still timing-blocked is skipped
-        // below; when no bank can start a command at all, the whole scan
-        // is a guaranteed no-op, and checking the (few) banks is cheaper
-        // than walking the (many) queued requests.
-        if !banks.iter().any(|b| b.rdy <= now) {
+        // below; when no bank holding a queued entry can start a command,
+        // the whole scan is a guaranteed no-op. `queued_bank_rdy` may be
+        // stale-low between two issues of one step, which only costs the
+        // scan.
+        if self.queued_bank_rdy > now {
             return false;
         }
+        let banks = &self.banks;
         let deadlines = self.arbiter.uses_deadlines();
         let prio_key = |e: &QueuedReq| {
             if deadlines {
@@ -642,6 +662,7 @@ impl MemController {
         }
         let q = if from_writes { &mut self.write_q } else { &mut self.read_q };
         let e = q.remove(win.idx).expect("index valid");
+        self.banks[win.bank].queued -= 1;
         self.issue_to_bank(win.bank, e, now);
         true
     }
@@ -682,6 +703,7 @@ impl MemController {
             (false, true) => 3,
         };
         self.awaiting_bus.push(PendingBurst { e, ready_at: col_cmd + t_cl, cost });
+        self.bus_ready_min = self.bus_ready_min.min(col_cmd + t_cl);
     }
 
     /// The per-burst bus scheduler: each time the data bus approaches
@@ -710,6 +732,8 @@ impl MemController {
             .map(|(i, _)| i);
         let Some(i) = pick else { return };
         let p = self.awaiting_bus.swap_remove(i);
+        self.bus_ready_min =
+            self.awaiting_bus.iter().map(|p| p.ready_at).min().unwrap_or(Cycle::MAX);
         let bus_earliest = if p.e.req.is_write != self.last_dir_write {
             self.bus_free_at + t_turn
         } else {
@@ -1194,36 +1218,66 @@ mod tests {
         assert_eq!(m.next_event(0), Some(0), "a routable ingress head acts immediately");
     }
 
-    #[test]
-    fn next_event_equivalence_with_naive_stepping() {
-        // Twin controllers on the same bursty request schedule: one steps
-        // every cycle, the other only when its own horizon says the cycle
-        // could matter, accruing the skipped occupancy samples in batch.
-        // Every observable — completions (in order), stats, SAT bit,
-        // snapshot — must be identical at the end.
+    /// The controller horizon recomputed from scratch by walking every
+    /// queued, buffered and in-flight entry: the reference the cached
+    /// minimums behind [`MemController::next_event`] must reproduce.
+    fn scanned_next_event(m: &MemController, now: Cycle) -> Option<Cycle> {
+        if m.pending() == 0 {
+            return None;
+        }
+        let wq = m.write_q.len();
+        let flip = (m.draining_writes && wq <= m.cfg.wr_low)
+            || (!m.draining_writes && wq >= m.cfg.wr_high);
+        let routable = m
+            .ingress
+            .peek()
+            .is_some_and(|h| !(if h.is_write { m.write_q.is_full() } else { m.read_q.is_full() }));
+        if flip || routable {
+            return Some(now);
+        }
+        let mut at = Vec::new();
+        if m.awaiting_bus.len() < m.cfg.data_buf_cap {
+            at.extend(
+                m.read_q.iter().chain(m.write_q.iter()).map(|e| m.banks[e.bank as usize].rdy),
+            );
+        }
+        let book = m.bus_free_at.saturating_sub(m.cfg.eff(m.cfg.t_burst));
+        at.extend(m.awaiting_bus.iter().map(|p| {
+            if p.ready_at <= m.bus_free_at {
+                book
+            } else {
+                p.ready_at
+            }
+        }));
+        at.extend(m.inflight.iter().map(|&(_, done_at)| done_at));
+        at.extend(m.arbiter.next_event(now));
+        at.into_iter().min().map(|t| t.max(now))
+    }
+
+    /// Twin controllers on one request schedule: `naive` steps every
+    /// cycle, `skip` only when its own horizon says the cycle could
+    /// matter, accruing the skipped occupancy samples in batch. Every
+    /// observable — completions (in order), stats, SAT bit, snapshot —
+    /// must be identical at the end. Returns the cycles `skip` slept.
+    fn assert_horizon_stepping_matches_naive(
+        schedule: impl Fn(Cycle) -> Vec<MemReq>,
+        cycles: Cycle,
+    ) -> u64 {
         let mut naive = mc(ArbiterMode::Edf, &[3, 1]);
         let mut skip = mc(ArbiterMode::Edf, &[3, 1]);
         let mut out_n = Vec::new();
         let mut out_s = Vec::new();
         let (mut served_n, mut served_s) = (0u64, 0u64);
         let mut skipped = 0u64;
-        for now in 0..40_000u64 {
-            // A burst of mixed requests every 512 cycles leaves long idle
-            // and long drain-tail windows between them.
-            if now % 512 == 0 {
-                for i in 0..6u64 {
-                    let req = MemReq {
-                        line: LineAddr::new((now + 1) * 131 + i * 3),
-                        class: q((i % 2) as u8),
-                        is_write: i % 5 == 0,
-                        token: now + i,
-                    };
-                    assert_eq!(naive.push(req).is_ok(), skip.push(req).is_ok());
-                }
+        for now in 0..cycles {
+            for req in schedule(now) {
+                assert_eq!(naive.push(req).is_ok(), skip.push(req).is_ok());
             }
             out_n.clear();
             naive.step_into(now, &mut out_n);
             served_n += out_n.len() as u64;
+            assert_eq!(naive.next_event(now + 1), scanned_next_event(&naive, now + 1));
+            assert_eq!(skip.next_event(now), scanned_next_event(&skip, now));
             match skip.next_event(now) {
                 Some(at) if at <= now => {
                     out_s.clear();
@@ -1241,13 +1295,64 @@ mod tests {
             }
         }
         assert!(served_n > 0, "workload must complete something");
-        assert!(skipped > 10_000, "bursty load must leave skippable gaps, got {skipped}");
         assert_eq!(served_n, served_s);
         assert_eq!(naive.take_epoch_sat(), skip.take_epoch_sat());
         assert_eq!(naive.snapshot(), skip.snapshot());
         assert_eq!(naive.stats().bytes, skip.stats().bytes);
         assert_eq!(naive.stats().reads, skip.stats().reads);
         assert_eq!(naive.stats().writes, skip.stats().writes);
+        skipped
+    }
+
+    #[test]
+    fn next_event_equivalence_with_naive_stepping() {
+        // A burst of mixed requests every 512 cycles leaves long idle and
+        // long drain-tail windows between them.
+        let bursty = |now: Cycle| {
+            if !now.is_multiple_of(512) {
+                return Vec::new();
+            }
+            (0..6u64)
+                .map(|i| MemReq {
+                    line: LineAddr::new((now + 1) * 131 + i * 3),
+                    class: q((i % 2) as u8),
+                    is_write: i % 5 == 0,
+                    token: now + i,
+                })
+                .collect()
+        };
+        let skipped = assert_horizon_stepping_matches_naive(bursty, 40_000);
+        assert!(skipped > 10_000, "bursty load must leave skippable gaps, got {skipped}");
+
+        // Write drain on one bank: 28 writes to conflicting rows of bank 0
+        // push the write queue past `wr_high`, three reads to the same
+        // bank queue behind the drain, and one more write lands just after
+        // the drain takes the queue down to `wr_low`. Naive stepping flips
+        // out of drain mode on the cycle after that issue; a horizon that
+        // sleeps through the flip would accept the late write first, see
+        // the queue back above `wr_low` and keep draining while the reads
+        // wait.
+        // The write that takes the queue to `wr_low` issues at cycle 1169;
+        // the controller's next own event after it is a bus booking at 1190.
+        const LATE_WRITE_AT: Cycle = 1_175;
+        let cfg = DramConfig::default();
+        let row = |r: u64| LineAddr::new(r * cfg.lines_per_row * cfg.banks as u64);
+        let drain = |now: Cycle| match now {
+            0..=6 => (0..4)
+                .map(|i| MemReq {
+                    line: row(1 + now * 4 + i),
+                    class: q(1),
+                    is_write: true,
+                    token: 0,
+                })
+                .collect(),
+            100 => (0..3)
+                .map(|i| MemReq { line: row(100 + i), class: q(0), is_write: false, token: 1 })
+                .collect(),
+            LATE_WRITE_AT => vec![MemReq { line: row(200), class: q(1), is_write: true, token: 0 }],
+            _ => Vec::new(),
+        };
+        assert_horizon_stepping_matches_naive(drain, 4_000);
     }
 
     #[test]

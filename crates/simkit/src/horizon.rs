@@ -4,10 +4,11 @@
 //! Every stateful component exposes `next_event(now) -> Option<Cycle>`:
 //! the earliest cycle at which stepping it *might* change observable
 //! state, or `None` when it schedules no event of its own (it can only
-//! be woken by another component acting first). The system-level skip
-//! loop min-combines those answers with a [`Horizon`]; if the combined
-//! horizon lies strictly in the future, every cycle before it is
-//! provably dead and can be jumped over in one step.
+//! be woken by another component acting first). A component min-combines
+//! its stages' answers with a [`Horizon`]; when the combined horizon lies
+//! strictly in the future, every cycle before it is provably dead for
+//! that component, so its skip domain parks until then
+//! ([`DomainHorizon`]).
 //!
 //! The contract is deliberately one-sided: a component may report an
 //! event *earlier* than anything actually happens (the system then just
@@ -65,23 +66,6 @@ impl Horizon {
     /// was `None`.
     pub fn get(&self) -> Option<Cycle> {
         self.0
-    }
-
-    /// Folds in an optional event time and reports whether it is already
-    /// due (`at <= now`) — the short-circuit every system-level
-    /// min-combine performs: a component with a due event forces a naive
-    /// step this cycle, so there is no point folding further inputs.
-    ///
-    /// A due event is *not* folded into the horizon; the caller is
-    /// expected to stop combining and step.
-    pub fn merge_due(&mut self, at: Option<Cycle>, now: Cycle) -> bool {
-        match at {
-            Some(at) if at <= now => true,
-            other => {
-                self.merge(other);
-                false
-            }
-        }
     }
 }
 
@@ -190,9 +174,21 @@ impl DomainHorizon {
         self.parked > 0 && self.min_wake <= now
     }
 
+    /// The memoized lower bound on the earliest wake over parked
+    /// domains ([`NO_WAKE`] when none is parked or none has a wake).
+    /// Stale-low after unparks, exactly as [`DomainHorizon::maybe_due`]
+    /// reads it.
+    pub fn min_wake(&self) -> Cycle {
+        if self.parked == 0 {
+            NO_WAKE
+        } else {
+            self.min_wake
+        }
+    }
+
     /// Recomputes the memoized minimum wake over parked domains. Call
     /// after a due-scan; correctness never depends on this (the bound
-    /// is only ever stale-*low*), only probe cost does.
+    /// is only ever stale-*low*), only scan cost does.
     pub fn recompute_min(&mut self) {
         self.min_wake = if self.parked == 0 {
             NO_WAKE
@@ -231,17 +227,6 @@ mod tests {
         assert_eq!(h.get(), Some(7));
         h.merge(Some(3));
         assert_eq!(h.get(), Some(3));
-    }
-
-    #[test]
-    fn merge_due_short_circuits_on_due_events() {
-        let mut h = Horizon::new();
-        assert!(!h.merge_due(None, 10), "no event is never due");
-        assert!(!h.merge_due(Some(15), 10), "future events fold in");
-        assert_eq!(h.get(), Some(15));
-        assert!(h.merge_due(Some(10), 10), "an event at now is due");
-        assert!(h.merge_due(Some(3), 10), "a past event is due");
-        assert_eq!(h.get(), Some(15), "due events are not folded");
     }
 
     #[test]
@@ -344,12 +329,16 @@ mod tests {
                 if fresh_due {
                     assert!(d.maybe_due(now), "memo missed a due wake (seed {seed})");
                 }
+                let fresh_min = reference.iter().flatten().map(|&(_, wake)| wake).min();
+                let fresh_min = fresh_min.unwrap_or(NO_WAKE);
+                assert!(d.min_wake() <= fresh_min, "memo bound above a wake (seed {seed})");
                 d.recompute_min();
                 assert_eq!(
                     d.maybe_due(now),
                     fresh_due,
                     "recomputed memo diverged from fresh answer (seed {seed})"
                 );
+                assert_eq!(d.min_wake(), fresh_min, "recomputed bound diverged (seed {seed})");
             }
         }
     }

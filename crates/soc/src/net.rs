@@ -15,8 +15,8 @@
 //!
 //! Under the uniform defaults every delay table collapses to the legacy
 //! constants and the staging delay to zero, so the committed goldens stay
-//! byte-identical. [`Interconnect::next_event`] feeds the system's
-//! horizon min-combine, keeping cycle skipping sound across the refactor.
+//! byte-identical. [`Interconnect::next_event`] bounds the system's
+//! whole-machine jump, keeping cycle skipping sound across the refactor.
 
 use std::collections::VecDeque;
 
@@ -306,7 +306,7 @@ impl Interconnect {
     /// cached *future* answer stays exact as `now` advances and a cached
     /// *due* answer stays due — it is clamped to `Some(now)` rather than
     /// recomputed (the fresh answer would also be due, and "due" is all
-    /// the probe loop acts on).
+    /// the jump check acts on).
     pub(crate) fn next_event_memo(&mut self, now: Cycle) -> Option<Cycle> {
         if let Some(cached) = self.cached_next {
             return match cached {
@@ -413,7 +413,7 @@ mod tests {
         // ...and once due, the cached answer clamps to `now` — due stays
         // due until someone pops it, even cycles later. The fresh probe
         // reports the raw (past) ready time; both read as due, which is
-        // all the probe loop acts on.
+        // all the jump check acts on.
         assert_eq!(net.next_event_memo(ready), Some(ready));
         assert_eq!(net.next_event_memo(ready + 3), Some(ready + 3));
         assert!(net.next_event(ready + 3).is_some_and(|t| t <= ready + 3));

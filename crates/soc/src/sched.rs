@@ -1,16 +1,24 @@
 //! The skip-domain scheduler: partitioned quiescence tracking for
 //! tiles and memory controllers.
 //!
-//! The original fast-forward design min-combined ONE global horizon, so
-//! a single busy component pinned the whole machine to naive stepping.
-//! This module partitions the machine into *skip domains* — one per
-//! tile (core + pacer + private-cache injection path) and one per
-//! memory controller — each of which can be **parked** independently:
-//! the step loop stops visiting a parked domain, and its per-cycle
-//! bookkeeping (ROB-full stalls, the L1/L2 probe misses of accesses
-//! stalled on a full MSHR table, pacer throttle NACKs, SAT-monitor
-//! occupancy samples) is batch-accrued when the domain is unparked,
-//! through the same `accrue_skip` paths the global jump uses.
+//! The machine is partitioned into *skip domains* — one per tile (core +
+//! pacer + private-cache injection path) and one per memory controller —
+//! each of which can be **parked** independently: the step loop stops
+//! visiting a parked domain, and its per-cycle bookkeeping (ROB-full
+//! stalls, the L1/L2 probe misses of accesses stalled on a full MSHR
+//! table, pacer throttle NACKs, SAT-monitor occupancy samples) is
+//! batch-accrued through each component's `accrue_skip` path when the
+//! domain is unparked.
+//!
+//! # Park site
+//!
+//! Domains park in one place only: at the end of their own step in
+//! `System::step`. A tile parks when `Tile::next_event` lies past the
+//! current cycle; a controller parks when `MemController::next_event`
+//! for the next cycle lies past it (`None` for an empty controller).
+//! The whole-machine jump is the degenerate case: when every live
+//! domain is parked and the spine is quiet, `System::advance` bumps the
+//! clock to the earliest cached wake ([`DomainSched::wake_bound`]).
 //!
 //! The shared spine — interconnect, L3, and the staging/drain stage —
 //! keeps stepping naively; it is the source of every cross-domain
@@ -33,10 +41,10 @@
 //! * **advance settle** — `System::advance` returns; external readers
 //!   (measurement marks, reports) must see fully-accrued state.
 //!
-//! Parking is driven by the same one-sided `next_event` contract as the
-//! global horizon (see `docs/PERFORMANCE.md`): a domain is parked only
-//! when its own horizon proves it inert, and a wake can only be early
-//! (costing a few live steps), never late.
+//! Parking is driven by the one-sided `next_event` contract (see
+//! `docs/PERFORMANCE.md`): a domain is parked only when its own horizon
+//! proves it inert, and a wake can only be early (costing a few live
+//! steps), never late.
 
 use pabst_dram::MemController;
 use pabst_simkit::horizon::{DomainHorizon, NO_WAKE};
@@ -84,19 +92,11 @@ impl DomainSched {
         self.mcs.is_parked(k)
     }
 
-    /// Parked tile `i`'s cached `next_event` answer (`None` when it has
-    /// no self-scheduled wake). This *is* the memoized horizon: probes
-    /// fold it instead of re-walking the tile.
-    pub fn tile_wake(&self, i: usize) -> Option<Cycle> {
-        match self.tiles.wake_at(i) {
-            NO_WAKE => None,
-            at => Some(at),
-        }
-    }
-
-    /// Parked controller `k`'s cached `next_event` answer.
-    pub fn mc_wake(&self, k: usize) -> Option<Cycle> {
-        match self.mcs.wake_at(k) {
+    /// Lower bound on the earliest cached wake over every parked domain,
+    /// or `None` when none holds a self-scheduled wake. Stale-low after
+    /// unparks, so a jump it bounds can only fall short, never overshoot.
+    pub fn wake_bound(&self) -> Option<Cycle> {
+        match self.tiles.min_wake().min(self.mcs.min_wake()) {
             NO_WAKE => None,
             at => Some(at),
         }

@@ -65,16 +65,6 @@ pub struct System {
     /// domains (see [`crate::sched::DomainSched`]). Structurally inert
     /// when skipping is disabled: nothing ever parks.
     sched: DomainSched,
-    /// Next cycle at which [`System::advance`] probes the horizon. Purely
-    /// a host-side pacing knob: simulated behavior never depends on it.
-    probe_at: Cycle,
-    /// Current probe backoff in cycles (doubles per failed probe, resets
-    /// to 1 on every successful skip).
-    probe_backoff: u64,
-    /// Cap on `probe_backoff` ([`SystemBuilder::probe_backoff_cap`];
-    /// default [`System::DEFAULT_PROBE_BACKOFF_CAP`]). Host-side pacing
-    /// only — simulated behavior never depends on it.
-    probe_cap: u64,
     epochs_run: usize,
     /// Runtime invariant checker: evaluates the conservation, bound,
     /// monotonicity and liveness laws at every epoch boundary, panicking
@@ -130,17 +120,6 @@ pub fn force_no_skip() {
 }
 
 impl System {
-    /// Default cap on the horizon probe backoff (see [`System::advance`];
-    /// override with [`SystemBuilder::probe_backoff_cap`]). Small enough
-    /// that the start of a quiescent window is never missed by more than
-    /// a handful of naive steps, large enough that a saturated machine
-    /// pays for at most one probe every eight cycles — the
-    /// `sim_throughput` backoff sweep shows cap 1 costs ~5% on the
-    /// saturated baseline and every cap from 2 upward is within noise
-    /// (tile-local parking, not probe cadence, now carries the
-    /// idle-heavy configs), so the historical value stands.
-    pub const DEFAULT_PROBE_BACKOFF_CAP: u64 = 8;
-
     /// Current simulated cycle.
     pub fn now(&self) -> Cycle {
         self.now
@@ -210,6 +189,11 @@ impl System {
     /// The tiles (inspection only).
     pub fn tiles(&self) -> &[Tile] {
         &self.tiles
+    }
+
+    /// The memory controllers (inspection only).
+    pub fn mcs(&self) -> &[MemController] {
+        &self.mcs
     }
 
     /// Number of memory controllers.
@@ -361,141 +345,70 @@ impl System {
     /// multiple of `epoch_cycles` — one code path, so the two entry points
     /// cannot drift on when the governor heartbeat runs.
     ///
-    /// With skipping enabled, each iteration first asks [`System::horizon`]
-    /// for the earliest cycle any component can change state. When that is
-    /// in the future, the loop jumps there in one [`System::apply_skip`]
-    /// call instead of stepping dead cycles. Jumps never cross an epoch
-    /// boundary (or `until`), so the heartbeat — SAT aggregation, governor
-    /// update, fault windows, invariant checks — observes the exact
-    /// boundary sequence naive stepping would.
-    ///
-    /// Probe backoff: on a saturated machine the horizon is `now` nearly
-    /// every cycle, and probing it would be pure overhead. Each failed
-    /// probe doubles the distance to the next one (capped at
-    /// [`System::MAX_PROBE_BACKOFF`]); a successful skip resets it.
-    /// Un-probed cycles are stepped naively, which is always correct —
-    /// backoff trades a few missed skip opportunities at the start of a
-    /// quiescent window for near-zero probe cost in the busy regime, and
-    /// never affects simulated behavior.
+    /// With skipping enabled, domains park at the end of their own step
+    /// (see [`crate::sched::DomainSched`]). Once every live domain is
+    /// parked and the shared spine is quiet, the loop jumps to the
+    /// earliest cached wake in one [`System::apply_skip`] call instead of
+    /// stepping dead cycles. Jumps never cross an epoch boundary (or
+    /// `until`), so the heartbeat — SAT aggregation, governor update,
+    /// fault windows, invariant checks — observes the exact boundary
+    /// sequence naive stepping would.
     fn advance(&mut self, until: Cycle) {
+        let e = self.cfg.epoch_cycles;
         while self.now < until {
-            if self.skip_enabled && self.now >= self.probe_at {
-                let h = self.horizon();
-                if h != Some(self.now) {
-                    let e = self.cfg.epoch_cycles;
-                    let boundary = (self.now / e + 1) * e;
-                    let target = h.unwrap_or(boundary).min(boundary).min(until);
-                    self.apply_skip(target - self.now);
-                    self.probe_backoff = 1;
-                    self.probe_at = self.now;
-                    if self.now.is_multiple_of(e) {
-                        self.on_epoch_boundary();
-                    }
-                    continue;
-                }
-                self.probe_at = self.now + self.probe_backoff;
-                self.probe_backoff = (self.probe_backoff * 2).min(self.probe_cap);
+            if let Some(target) = self.jump_target(until) {
+                self.apply_skip(target - self.now);
+            } else {
+                self.step();
             }
-            self.step();
-            if self.now.is_multiple_of(self.cfg.epoch_cycles) {
+            if self.now.is_multiple_of(e) {
                 self.on_epoch_boundary();
             }
         }
         // Settle: callers (measurement marks, stats readers, reports) must
         // observe fully-accrued state, so no domain stays parked across a
-        // return. Domains re-park at the next probe; behavior over the
+        // return. Domains re-park in their next step; behavior over the
         // parked window is already fixed, so settling is invisible.
         if self.skip_enabled && self.sched.any_parked() {
             self.sched.wake_all(self.now, &mut self.tiles, &mut self.mcs);
         }
     }
 
-    /// The event horizon: the earliest cycle at which any component may
-    /// change state. `Some(now)` means something can act this cycle (the
-    /// loop must step naively); a later cycle means every component is
-    /// provably quiescent until then; `None` means no component holds any
-    /// self-scheduled event at all (fully idle — safe to jump straight to
-    /// the next epoch boundary).
+    /// Where a whole-machine jump from `now` may land, or `None` when
+    /// this cycle must be stepped.
     ///
-    /// Soundness: the minimum over per-component `next_event` horizons is
-    /// a sound global horizon because a component with no event of its own
-    /// changes state only when another component acts on it — and that
-    /// component's own horizon already bounds the jump. A too-*early*
-    /// horizon merely costs speed; only a too-late one could diverge, so
-    /// every check below short-circuits to `now` on any doubt. Checks are
-    /// ordered cheapest-first.
-    ///
-    /// The probe is also where domains **park** (see
-    /// [`crate::sched::DomainSched`]): a tile or controller whose
-    /// `next_event` answer lies in the future is inert on its own — even
-    /// if some *other* component forces this probe to answer "due" — so
-    /// it is handed to the domain scheduler with that answer as its
-    /// cached wake time. Parked domains fold their cached answer here
-    /// instead of recomputing (the memoization), and a parked domain
-    /// whose cached wake has arrived reads as due: the step loop's
-    /// due-scan wakes it.
-    fn horizon(&mut self) -> Option<Cycle> {
-        use pabst_simkit::horizon::Horizon;
+    /// A jump needs every live domain parked and the shared spine quiet:
+    /// no interconnect event due, and no MSHR-refused miss that could
+    /// retry (one still blocked unblocks only via a controller
+    /// completion, which that controller's cached wake already bounds).
+    /// The landing cycle is the earliest of the parked domains' cached
+    /// wakes, the interconnect's next event, the epoch boundary and
+    /// `until`. The scheduler's wake bound may be stale-low; that only
+    /// shortens the jump.
+    fn jump_target(&mut self, until: Cycle) -> Option<Cycle> {
         let now = self.now;
-        let mut h = Horizon::new();
-        // The interconnect: in-flight requests/responses wake at their
-        // delivery cycle; a staged request past its hop delay drains (or
-        // bumps a reject counter) every cycle. Memoized: queue mutations
-        // dirty the cached answer.
-        if h.merge_due(self.net.next_event_memo(now), now) {
-            return Some(now);
+        if !self.skip_enabled || !self.sched.fully_parked(&self.mc_stalled) {
+            return None;
         }
-        // An MSHR-refused miss whose retry can progress acts this cycle;
-        // one still blocked unblocks only via an MC completion, which the
-        // controller horizons below already bound.
         if let Some(req) = self.mshr_wait.front() {
             if self.l3_mshrs.contains(req.line) || !self.l3_mshrs.is_full() {
-                return Some(now);
+                return None;
             }
         }
-        for (k, mc) in self.mcs.iter().enumerate() {
-            // A stalled controller (mc-stall fault window) is frozen until
-            // the next boundary: no events, no occupancy samples — and it
-            // is never parked (parking accrues samples; a stalled window
-            // takes none).
-            if self.mc_stalled[k] {
-                continue;
-            }
-            if self.sched.mc_parked(k) {
-                if h.merge_due(self.sched.mc_wake(k), now) {
-                    return Some(now);
-                }
-                continue;
-            }
-            let ev = mc.next_event(now);
-            if h.merge_due(ev, now) {
-                return Some(now);
-            }
-            self.sched.park_mc(k, now, ev);
+        let e = self.cfg.epoch_cycles;
+        let mut target = ((now / e + 1) * e).min(until);
+        for at in [self.net.next_event_memo(now), self.sched.wake_bound()].into_iter().flatten() {
+            target = target.min(at);
         }
-        for (i, tile) in self.tiles.iter().enumerate() {
-            if self.sched.tile_parked(i) {
-                if h.merge_due(self.sched.tile_wake(i), now) {
-                    return Some(now);
-                }
-                continue;
-            }
-            let ev = tile.next_event(now);
-            if h.merge_due(ev, now) {
-                return Some(now);
-            }
-            self.sched.park_tile(i, now, ev);
-        }
-        h.get()
+        (target > now).then_some(target)
     }
 
     /// Fast-forwards `cycles` provably-dead cycles in one jump. Under
     /// the partitioned scheduler this is a pure clock bump: a jump only
-    /// happens when the probe found no due domain, which means it parked
-    /// every tile and every live controller — their owed-bookkeeping
-    /// windows simply grow with the clock and are batch-accrued at their
-    /// next wake edge, exactly as naive stepping would have charged them
-    /// cycle by cycle.
+    /// happens when every tile and every live controller is parked —
+    /// their owed-bookkeeping windows simply grow with the clock and are
+    /// batch-accrued at their next wake edge, exactly as naive stepping
+    /// would have charged them cycle by cycle.
     fn apply_skip(&mut self, cycles: Cycle) {
         debug_assert!(cycles > 0, "a zero-length skip is a stepping bug");
         debug_assert!(
@@ -537,12 +450,15 @@ impl System {
                     continue;
                 }
                 mc.step_into(now, &mut completions);
-                // An empty controller's step is just an occupancy sample;
-                // park it (this cycle's sample was taken live, so owed
-                // starts next cycle). Only an ingress push — the drain
-                // wake below — or an epoch boundary can make it act.
-                if mc.pending() == 0 {
-                    self.sched.park_mc(k, now + 1, None);
+                // Park a controller whose next own event lies beyond the
+                // next cycle (this cycle's sample was taken live, so owed
+                // starts next cycle). An empty one answers `None`: only an
+                // ingress push — the drain wake below — or an epoch
+                // boundary can make it act.
+                let next = now + 1;
+                let ev = mc.next_event(next);
+                if ev.is_none_or(|at| at > next) {
+                    self.sched.park_mc(k, next, ev);
                 }
             } else {
                 mc.step_into(now, &mut completions);
@@ -596,30 +512,30 @@ impl System {
             // issue, or dispatch this cycle would only bump its ROB-full
             // stall counter and re-probe for accesses stalled on a full
             // MSHR table — accrue that directly and skip the pipeline
-            // walk. Gated on skip mode so the naive A/B baseline stays a
-            // pure per-cycle interpreter.
+            // walk. When the injection path is quiescent past `now` too,
+            // the tile parks: this cycle was handled live (the injection
+            // NACK above, the stall accrual here), so owed starts next
+            // cycle and the tile horizon becomes the cached wake. Each
+            // branch asks the core for its horizon once. Gated on skip
+            // mode so the naive A/B baseline stays a pure per-cycle
+            // interpreter.
             if skip_enabled {
-                let core_h = tile.core.next_event_with(now, &tile.mem);
-                if core_h.is_none_or(|at| at > now) {
-                    tile.accrue_skip(1);
-                    // Tile-local park: when the injection path is also
-                    // quiescent past `now`, stop visiting the tile. This
-                    // cycle was handled live (the injection NACK above,
-                    // the stall accrual here), so owed starts next cycle;
-                    // the tile horizon becomes the cached wake.
-                    let mut th = pabst_simkit::horizon::Horizon::new();
-                    th.merge(core_h);
-                    th.merge(tile.mem.next_inject_at(now));
-                    let th = th.get();
-                    if th.is_none_or(|at| at > now) {
+                let core_idle = if tile.mem.next_inject_at(now).is_some_and(|at| at <= now) {
+                    tile.core.next_event_with(now, &tile.mem).is_none_or(|at| at > now)
+                } else {
+                    let th = tile.next_event(now);
+                    let idle = th.is_none_or(|at| at > now);
+                    if idle {
                         self.sched.park_tile(i, now + 1, th);
                     }
+                    idle
+                };
+                if core_idle {
+                    tile.accrue_skip(1);
                     continue;
                 }
-                tile.step_core(now);
-            } else {
-                tile.step_core(now);
             }
+            tile.step_core(now);
             if tile.core.has_markers() {
                 for (tag, at) in tile.core.take_markers() {
                     let _ = tag;
@@ -1166,7 +1082,6 @@ pub struct SystemBuilder {
     l3_ways: Vec<Option<(usize, usize)>>,
     fault_plan: Option<FaultPlan>,
     skip: Option<bool>,
-    probe_cap: Option<u64>,
 }
 
 impl SystemBuilder {
@@ -1181,21 +1096,7 @@ impl SystemBuilder {
             l3_ways: Vec::new(),
             fault_plan: None,
             skip: None,
-            probe_cap: None,
         }
-    }
-
-    /// Overrides the horizon probe backoff cap (default
-    /// [`System::DEFAULT_PROBE_BACKOFF_CAP`]). Purely a host-side pacing
-    /// knob for the skip machinery: larger caps probe a saturated
-    /// machine less often, smaller caps catch the start of a quiescent
-    /// window sooner. Simulated behavior is byte-identical at any value
-    /// (the `sim_throughput` harness sweeps it).
-    ///
-    /// A cap of 0 is clamped to 1 (probe every cycle).
-    pub fn probe_backoff_cap(mut self, cap: u64) -> Self {
-        self.probe_cap = Some(cap.max(1));
-        self
     }
 
     /// Overrides quiescence-aware cycle skipping for this system. The
@@ -1335,9 +1236,6 @@ impl SystemBuilder {
             now: 0,
             skip_enabled,
             sched: DomainSched::new(cores, self.cfg.mcs),
-            probe_at: 0,
-            probe_backoff: 1,
-            probe_cap: self.probe_cap.unwrap_or(System::DEFAULT_PROBE_BACKOFF_CAP),
             epochs_run: 0,
             invariants: InvariantChecker::new(self.cfg.invariants),
             trace_sinks: Vec::new(),

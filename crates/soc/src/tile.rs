@@ -336,9 +336,9 @@ impl Tile {
     /// of the injection-queue horizon ([`TileMem::next_inject_at`]) and
     /// the core's port-aware horizon ([`OooCore::next_event_with`], so
     /// accesses stalled on a full MSHR table wait for the next fill).
-    /// [`crate::system::System`]'s quiescence skipping min-combines this
-    /// across tiles; a too-early answer costs speed only, never
-    /// correctness.
+    /// The tile parks on this answer at the end of its step in
+    /// [`crate::system::System`]; a too-early answer costs speed only,
+    /// never correctness.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
         let mut h = pabst_simkit::horizon::Horizon::new();
         h.merge(self.mem.next_inject_at(now));

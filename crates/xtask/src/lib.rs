@@ -30,7 +30,7 @@
 //!   registry) may draw entropy or iterate hashed collections.
 //! * `horizon-contract` — every sim-crate type with a `step`/`step_*`
 //!   method must define `next_event`, and that `next_event` must be
-//!   reached from `System::advance`'s horizon min-combine.
+//!   reached from `System::advance`, where domains park.
 //!
 //! Hygiene rules police the lint machinery itself: `suppression` (malformed
 //! allows) and `unused-suppression` (an allow that silences nothing).

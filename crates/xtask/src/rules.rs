@@ -178,18 +178,13 @@ fn suppressions(spec: &FileSpec<'_>, lx: &Lexed) -> (Vec<Suppression>, Vec<Diagn
 }
 
 /// True when the file hosts part of the audited event-horizon machinery —
-/// it defines a non-test `advance`, `horizon`, `sample_n`, or `next_*`
-/// function. Such files drive the clock, declare wake-ups, or provide the
+/// it defines a non-test `advance`, `sample_n`, or `next_*` function. Such files drive the clock, declare wake-ups, or provide the
 /// batch-accrual primitives, so per-cycle state in them is by design. This
 /// structural check replaces the old hardcoded `HORIZON_AUDITED_FILES`
 /// allowlist: adding a component's `next_event` is what exempts its file.
-fn horizon_exempt(idx: &FileIndex) -> bool {
+fn defines_skip_surface(idx: &FileIndex) -> bool {
     idx.fns.iter().any(|f| {
-        !f.in_test
-            && (f.name == "advance"
-                || f.name == "horizon"
-                || f.name == "sample_n"
-                || f.name.starts_with("next_"))
+        !f.in_test && (f.name == "advance" || f.name == "sample_n" || f.name.starts_with("next_"))
     })
 }
 
@@ -217,7 +212,7 @@ pub fn file_pass(spec: &FileSpec<'_>, lx: &Lexed, idx: &FileIndex) -> FilePass {
     let wants_docs = spec.crate_name == "core";
     let thread_applies = !THREAD_EXEMPT_FILES.contains(&spec.rel_path);
     let rng_confined = RNG_CONFINED_CRATES.contains(&spec.crate_name);
-    let horizon_applies = in_sim_crate && !horizon_exempt(idx);
+    let horizon_applies = in_sim_crate && !defines_skip_surface(idx);
 
     let toks = &lx.toks;
     for i in 0..toks.len() {
@@ -479,13 +474,14 @@ pub fn cross_pass(indexes: &[FileIndex], passes: &mut [FilePass]) {
 
     // --- horizon-contract completeness ------------------------------------
     // Every sim-crate type with a `step`/`step_*` method must define
-    // `next_event` (drivers — types defining `advance`/`horizon` — are the
-    // min-combine side of the contract and exempt), and that `next_event`
-    // must actually be reached from `System::advance`. Types that implement
-    // the `TargetArbiter` seam owe the same surface even though they have no
+    // `next_event` (drivers — types defining `advance` — are the parking
+    // side of the contract and exempt), and that `next_event` must actually
+    // be reached from `System::advance`. Types that implement the
+    // `TargetArbiter` seam owe the same surface even though they have no
     // `step` of their own: the memory controller steps *for* them, so an
-    // arbiter whose wake-ups are invisible to the min-combine lets the skip
-    // loop jump a deadline promotion or a regulation window edge.
+    // arbiter whose wake-ups are invisible to the controller's horizon lets
+    // a parked controller sleep through a deadline promotion or a
+    // regulation window edge.
     #[derive(Default)]
     struct Surface {
         step: Option<(NodeId, String)>,
@@ -516,16 +512,16 @@ pub fn cross_pass(indexes: &[FileIndex], passes: &mut [FilePass]) {
                 }
             } else if f.name == "next_event" {
                 s.next_event = Some((fi, ni));
-            } else if f.name == "advance" || f.name == "horizon" {
+            } else if f.name == "advance" {
                 s.driver = true;
             }
         }
     }
     // Reachability roots are `System::advance` plus every `DomainSched`
-    // probe: per-domain parking caches a component's `next_event` inside
-    // the domain scheduler, so a surface consulted only from a
-    // park/wake path is wired just as legitimately as one the global
-    // min-combine reads directly.
+    // method: per-domain parking caches a component's `next_event` inside
+    // the domain scheduler, so a surface consulted only from a park/wake
+    // path is wired just as legitimately as one the step loop reads
+    // directly.
     let advance_reach = g.find("System", "advance").map(|r| {
         let mut roots = vec![r];
         for (fi, file) in indexes.iter().enumerate() {
@@ -548,9 +544,8 @@ pub fn cross_pass(indexes: &[FileIndex], passes: &mut [FilePass]) {
         let line = indexes[nfi].fns[nni].line;
         let msg = format!(
             "`{ty}::next_event` is never reached from \
-             System::advance or a DomainSched probe; wire it into the \
-             horizon min-combine (or a domain park site) so skips \
-             respect this component's wake-ups"
+             System::advance or a DomainSched probe; call it where the \
+             component's domain parks so skips respect its wake-ups"
         );
         passes[nfi].push(&indexes[nfi].rel_path, line, RULE_HORIZON_CONTRACT, msg);
     };
@@ -564,8 +559,8 @@ pub fn cross_pass(indexes: &[FileIndex], passes: &mut [FilePass]) {
                     let msg = format!(
                         "type `{ty}` implements TargetArbiter but defines no \
                          `next_event`; the memory controller's horizon \
-                         min-combine cannot see its wake-ups and \
-                         System::advance will skip over deadline or window \
+                         cannot fold in its wake-ups, so a parked \
+                         controller will sleep through deadline or window \
                          edges — implement next_event (docs/MECHANISMS.md)"
                     );
                     passes[afi].push(&indexes[afi].rel_path, line, RULE_HORIZON_CONTRACT, msg);
@@ -585,8 +580,9 @@ pub fn cross_pass(indexes: &[FileIndex], passes: &mut [FilePass]) {
                 let msg = format!(
                     "type `{ty}` defines `{step_name}` but no `next_event`; \
                      System::advance's quiescence skipping will silently \
-                     under-step it — implement next_event and wire it into \
-                     the horizon min-combine (docs/PERFORMANCE.md)"
+                     under-step it — implement next_event and call it \
+                     where the component's domain parks \
+                     (docs/PERFORMANCE.md)"
                 );
                 passes[*fi].push(&indexes[*fi].rel_path, line, RULE_HORIZON_CONTRACT, msg);
             }

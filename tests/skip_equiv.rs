@@ -14,7 +14,9 @@
 //! where tile-local parking (not the global jump) does the work, partial
 //! skip under the DPQ arbiter (some tiles parked while others keep the
 //! controllers live), tiles parked on a full L2 MSHR table (stalled
-//! stores and loads retried every cycle), and each fault kind —
+//! stores and loads retried every cycle), controllers parked between
+//! their own events while dirty L3 evictions move their write queues
+//! across the drain marks, and each fault kind —
 //! including the required mc-stall window (a frozen controller must
 //! contribute no horizon events and take no occupancy samples, and must
 //! never be parked) and epoch-skew cell (stale pacer periods must
@@ -23,6 +25,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use pabst_bench::scenarios::region_for;
 use pabst_cpu::{LoadId, Op, Workload};
 use pabst_simkit::fault::{FaultKind, FaultPlan, FaultSpec, PPM_SCALE};
 use pabst_simkit::trace::{EpochRecord, TraceSink};
@@ -53,6 +56,16 @@ fn streams(n: usize, salt: u64) -> Vec<Box<dyn Workload>> {
 
 fn write_streams(n: usize, salt: u64) -> Vec<Box<dyn Workload>> {
     (0..n).map(|i| Box::new(StreamGen::writes(region(), salt + i as u64)) as _).collect()
+}
+
+/// Write streamers on the experiments' region bases: every stream starts
+/// in L3 set 0 and walks the same sets, so the streams evict each other's
+/// dirty lines and the controllers see a steady writeback flow, as on
+/// `fig01`'s stream mix.
+fn aligned_write_streams(class: usize, n: usize, salt: u64) -> Vec<Box<dyn Workload>> {
+    (0..n)
+        .map(|i| Box::new(StreamGen::writes(region_for(class, i, 1 << 20), salt + i as u64)) as _)
+        .collect()
 }
 
 fn compute_streams(n: usize, salt: u64) -> Vec<Box<dyn Workload>> {
@@ -201,6 +214,24 @@ fn cells() -> Vec<Cell> {
                 SystemBuilder::new(c, RegulationMode::Pabst)
                     .class(3, write_streams(2, 34))
                     .class(1, write_streams(2, 134))
+            }),
+        ),
+        cell(
+            "pabst/dirty-l3-writebacks",
+            Box::new(move || {
+                // A 32 KiB L3 that four aligned write streams overflow
+                // within the first epoch: dirty evictions keep the write
+                // queues crossing their drain marks while reads queue
+                // behind them, and four controllers share the load lightly
+                // enough to park between their own events. A controller
+                // that slept through a pending drain-mode flip diverges
+                // here.
+                let mut c = small();
+                c.mcs = 4;
+                c.l3 = pabst_cache::CacheConfig::with_capacity(32 * 1024, 16);
+                SystemBuilder::new(c, RegulationMode::Pabst)
+                    .class(3, aligned_write_streams(0, 2, 36))
+                    .class(1, aligned_write_streams(1, 2, 136))
             }),
         ),
         cell(
@@ -491,6 +522,11 @@ struct Arm {
     tiles: TileCounters,
     skipped: u64,
     tile_parked: u64,
+    /// Controller-cycles parked, and the controller count.
+    mc_parked: u64,
+    mcs: u64,
+    /// DRAM writes the controllers completed.
+    dram_writes: u64,
 }
 
 /// Runs one arm of a cell: warmup, measurement window, then every
@@ -520,6 +556,9 @@ fn run_arm(mk: &dyn Fn() -> SystemBuilder, skip: bool) -> Arm {
         tiles,
         skipped: sys.cycles_skipped(),
         tile_parked: sys.tile_cycles_skipped(),
+        mc_parked: sys.mc_cycles_skipped(),
+        mcs: sys.mc_count() as u64,
+        dram_writes: sys.mcs().iter().map(|m| m.stats().writes).sum(),
     }
 }
 
@@ -534,7 +573,11 @@ fn every_matrix_cell_is_byte_identical_across_skip_modes() {
         assert_eq!(s.trace, n.trace, "{name}: trace JSONL diverged");
         assert_eq!(s.now, n.now, "{name}: final cycle diverged");
         assert_eq!(s.tiles, n.tiles, "{name}: per-tile core/L2 counters diverged");
+        assert_eq!(s.dram_writes, n.dram_writes, "{name}: completed DRAM writes diverged");
         assert_eq!(n.skipped, 0, "{name}: naive arm must not skip");
+        if name == "pabst/dirty-l3-writebacks" {
+            assert!(s.dram_writes > 0, "{name}: dirty L3 evictions must reach DRAM");
+        }
         assert!(!s.trace.is_empty(), "{name}: trace must not be empty");
         total_skipped += s.skipped;
         total_cycles += s.now;
@@ -559,6 +602,26 @@ fn full_l2_mshr_tables_park_most_tile_cycles() {
             2 * arm.tile_parked > tile_cycles,
             "{name}: only {} of {tile_cycles} tile-cycles parked",
             arm.tile_parked
+        );
+    }
+}
+
+#[test]
+fn busy_controllers_park_most_cycles_under_chasers() {
+    // Controllers park at the end of their own step whenever their next
+    // event lies past the next cycle, busy or not. Under the all-chaser
+    // cells each controller holds a few misses at a time and waits on
+    // DRAM timing, so more than half of its cycles must be parked.
+    for (name, mk) in cells() {
+        if !(name.ends_with("chasers") || name.ends_with("idle-heavy")) {
+            continue;
+        }
+        let arm = run_arm(mk.as_ref(), true);
+        let mc_cycles = arm.now * arm.mcs;
+        assert!(
+            2 * arm.mc_parked > mc_cycles,
+            "{name}: only {} of {mc_cycles} controller-cycles parked",
+            arm.mc_parked
         );
     }
 }

@@ -1,7 +1,9 @@
 //! Self-profiles the simulator: simulated cycles per wall-clock second on
-//! the small-test and baseline machines, a per-epoch step() timing via
-//! the in-repo micro-benchmark harness, and a serial-vs-parallel sweep
-//! comparison through `harness::run_indexed` (the `all_figures` executor).
+//! six machine/workload profiles (median, min and max of three
+//! interleaved skip/naive samples in full mode, one in `--quick`), a
+//! per-epoch step() timing via the in-repo micro-benchmark harness, and
+//! a serial-vs-parallel sweep comparison through `harness::run_indexed`
+//! (the `all_figures` executor).
 //!
 //! Writes `BENCH_sim_throughput.json` (override with `--out <path>`) —
 //! the seed of the repo's perf trajectory; CI runs this in `--quick`
@@ -11,24 +13,27 @@
 use std::time::Instant;
 
 use pabst_bench::obs::CliArgs;
-use pabst_bench::scenarios::{read_streamers, region_for};
+use pabst_bench::scenarios::{read_streamers, region_for, write_streamers};
 use pabst_bench::{harness, timing};
 use pabst_cpu::Workload;
 use pabst_soc::config::{RegulationMode, SystemConfig};
 use pabst_soc::system::{System, SystemBuilder};
 use pabst_workloads::ChaserGen;
 
-/// One profiled configuration, timed twice: with partitioned cycle
-/// skipping (the default execution strategy) and naive per-cycle
-/// stepping (`skip(false)`, the `PABST_NO_SKIP` baseline).
+/// One profiled configuration, timed with partitioned cycle skipping
+/// (the default execution strategy) and with naive per-cycle stepping
+/// (`skip(false)`, the `PABST_NO_SKIP` baseline), in interleaved
+/// samples. Times and rates are medians over the samples.
 struct Profile {
     name: &'static str,
     epoch_cycles: u64,
     epochs_timed: u64,
+    /// Timed samples per arm.
+    samples: usize,
     elapsed_ns: u128,
-    cycles_per_sec: u64,
+    cycles_per_sec: Spread,
     noskip_elapsed_ns: u128,
-    noskip_cycles_per_sec: u64,
+    noskip_cycles_per_sec: Spread,
     /// Cycles fast-forwarded by *global* jumps during the timed window.
     cycles_skipped: u64,
     /// `cycles_skipped / cycles_timed` — the fraction of simulated time
@@ -44,6 +49,22 @@ struct Profile {
     mc_cycles_skipped: u64,
     /// `mc_cycles_skipped / (cycles_timed * mcs)`.
     mc_skip_rate: f64,
+}
+
+/// Median, min and max of one measure over a profile's samples.
+#[derive(Clone, Copy)]
+struct Spread {
+    median: u64,
+    min: u64,
+    max: u64,
+}
+
+impl Spread {
+    fn of(samples: impl Iterator<Item = u64>) -> Self {
+        let mut v: Vec<u64> = samples.collect();
+        v.sort_unstable();
+        Self { median: v[v.len() / 2], min: v[0], max: v[v.len() - 1] }
+    }
 }
 
 /// Serial vs parallel wall-clock for a batch of independent runs.
@@ -71,9 +92,16 @@ fn build(name: &str, skip: bool) -> System {
         "baseline" => (SystemConfig::baseline_32core(), 16),
         "mesh_64" => (SystemConfig::mesh_64(), 32),
         "mesh_256x16" => (SystemConfig::mesh_256x16(), 32),
+        "stores" => (SystemConfig::baseline_32core(), 16),
         _ => (SystemConfig::small_test(), 2),
     };
-    let b = if name == "chaser" {
+    let b = if name == "stores" {
+        // The fig01 stream+stream mix: write streamers whose stores
+        // back up into full L2 MSHR tables and stall the cores.
+        SystemBuilder::new(cfg, RegulationMode::Pabst)
+            .class(3, write_streamers(0, per_class, 0))
+            .class(1, write_streamers(1, per_class, 0))
+    } else if name == "chaser" {
         // Quarter-speed DDR (the fig11 static-baseline knob) stretches
         // every miss, so nearly all of simulated time is pure stall.
         cfg.dram = cfg.dram.down_clocked(4);
@@ -126,37 +154,53 @@ fn time_run(name: &str, epochs: u64, skip: bool) -> TimedRun {
     }
 }
 
-fn profile(name: &'static str, epochs: u64) -> Profile {
+/// Times `name` in `samples` interleaved skip/naive pairs.
+fn profile(name: &'static str, epochs: u64, samples: usize) -> Profile {
     let epoch_cycles = build(name, true).metrics().bw_series.epoch_cycles();
-    let timed = time_run(name, epochs, true);
-    let naive = time_run(name, epochs, false);
+    let (mut timed, mut naive) = (Vec::new(), Vec::new());
+    for _ in 0..samples {
+        timed.push(time_run(name, epochs, true));
+        naive.push(time_run(name, epochs, false));
+    }
+    // The skip counters are deterministic: every sample reads the same.
+    let first = &timed[0];
     let cycles = epochs * epoch_cycles;
-    let rate = timed.cycles_skipped as f64 / cycles as f64;
-    let tile_rate = timed.tile_cycles_skipped as f64 / (cycles * timed.tiles) as f64;
-    let mc_rate = timed.mc_cycles_skipped as f64 / (cycles * timed.mcs) as f64;
+    let rate = first.cycles_skipped as f64 / cycles as f64;
+    let tile_rate = first.tile_cycles_skipped as f64 / (cycles * first.tiles) as f64;
+    let mc_rate = first.mc_cycles_skipped as f64 / (cycles * first.mcs) as f64;
+    let cps = Spread::of(timed.iter().map(|r| r.cycles_per_sec));
+    let naive_cps = Spread::of(naive.iter().map(|r| r.cycles_per_sec));
+    let elapsed = Spread::of(timed.iter().map(|r| r.elapsed_ns as u64));
+    let naive_elapsed = Spread::of(naive.iter().map(|r| r.elapsed_ns as u64));
     println!(
         "{name:<12} {epochs:>3} epochs x {epoch_cycles} cycles in {:>8.1} ms  ->  {} cycles/s \
-         (global skip {:.1}%, tile-local {:.1}%, mc-local {:.1}%, naive {} cycles/s)",
-        timed.elapsed_ns as f64 / 1e6,
-        timed.cycles_per_sec,
+         [{}, {}] (global skip {:.1}%, tile-local {:.1}%, mc-local {:.1}%, naive {} cycles/s \
+         [{}, {}]; median [min, max] of {samples})",
+        elapsed.median as f64 / 1e6,
+        cps.median,
+        cps.min,
+        cps.max,
         rate * 100.0,
         tile_rate * 100.0,
         mc_rate * 100.0,
-        naive.cycles_per_sec,
+        naive_cps.median,
+        naive_cps.min,
+        naive_cps.max,
     );
     Profile {
         name,
         epoch_cycles,
         epochs_timed: epochs,
-        elapsed_ns: timed.elapsed_ns,
-        cycles_per_sec: timed.cycles_per_sec,
-        noskip_elapsed_ns: naive.elapsed_ns,
-        noskip_cycles_per_sec: naive.cycles_per_sec,
-        cycles_skipped: timed.cycles_skipped,
+        samples,
+        elapsed_ns: u128::from(elapsed.median),
+        cycles_per_sec: cps,
+        noskip_elapsed_ns: u128::from(naive_elapsed.median),
+        noskip_cycles_per_sec: naive_cps,
+        cycles_skipped: first.cycles_skipped,
         skip_rate: rate,
-        tile_cycles_skipped: timed.tile_cycles_skipped,
+        tile_cycles_skipped: first.tile_cycles_skipped,
         tile_skip_rate: tile_rate,
-        mc_cycles_skipped: timed.mc_cycles_skipped,
+        mc_cycles_skipped: first.mc_cycles_skipped,
         mc_skip_rate: mc_rate,
     }
 }
@@ -194,18 +238,25 @@ fn to_json(profiles: &[Profile], sweep: &SweepProfile) -> String {
         }
         let _ = write!(
             s,
-            "{{\"name\":\"{}\",\"epoch_cycles\":{},\"epochs_timed\":{},\
-             \"elapsed_ns\":{},\"cycles_per_sec\":{},\"noskip_elapsed_ns\":{},\
-             \"noskip_cycles_per_sec\":{},\"cycles_skipped\":{},\"skip_rate\":{:.4},\
+            "{{\"name\":\"{}\",\"epoch_cycles\":{},\"epochs_timed\":{},\"samples\":{},\
+             \"elapsed_ns\":{},\"cycles_per_sec\":{},\"cycles_per_sec_min\":{},\
+             \"cycles_per_sec_max\":{},\"noskip_elapsed_ns\":{},\
+             \"noskip_cycles_per_sec\":{},\"noskip_cycles_per_sec_min\":{},\
+             \"noskip_cycles_per_sec_max\":{},\"cycles_skipped\":{},\"skip_rate\":{:.4},\
              \"tile_cycles_skipped\":{},\"tile_skip_rate\":{:.4},\
              \"mc_cycles_skipped\":{},\"mc_skip_rate\":{:.4}}}",
             p.name,
             p.epoch_cycles,
             p.epochs_timed,
+            p.samples,
             p.elapsed_ns,
-            p.cycles_per_sec,
+            p.cycles_per_sec.median,
+            p.cycles_per_sec.min,
+            p.cycles_per_sec.max,
             p.noskip_elapsed_ns,
-            p.noskip_cycles_per_sec,
+            p.noskip_cycles_per_sec.median,
+            p.noskip_cycles_per_sec.min,
+            p.noskip_cycles_per_sec.max,
             p.cycles_skipped,
             p.skip_rate,
             p.tile_cycles_skipped,
@@ -226,15 +277,16 @@ fn main() {
     let args = CliArgs::parse();
     let quick = args.quick;
     let epochs = if quick { 2 } else { 10 };
+    // Full mode takes three interleaved skip/naive samples per profile:
+    // one sample of a run this short says little on a shared host.
+    let samples = if quick { 1 } else { 3 };
     println!("simulator throughput ({} mode)", if quick { "smoke" } else { "full" });
 
-    let profiles = vec![
-        profile("small", epochs),
-        profile("baseline", epochs),
-        profile("mesh_64", epochs),
-        profile("mesh_256x16", epochs),
-        profile("chaser", epochs),
-    ];
+    let profiles: Vec<Profile> =
+        ["small", "baseline", "mesh_64", "mesh_256x16", "chaser", "stores"]
+            .into_iter()
+            .map(|name| profile(name, epochs, samples))
+            .collect();
 
     // Per-epoch wall time through the micro-benchmark harness (median of
     // 9 samples, fresh warmed system per sample) — the step()-path number

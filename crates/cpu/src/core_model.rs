@@ -3,9 +3,12 @@
 //!
 //! Implementation notes: load state lives inline in the ROB entries
 //! (indexed by a stable sequence number), and an *attention list* tracks
-//! only the entries that still need issue work, so the per-cycle cost is
-//! proportional to actionable work, not ROB size — the simulator spends
-//! most of its time here.
+//! only the entries that still need issue work. An entry on that list
+//! that cannot move still costs O(1) per visit, never a search: a
+//! dependent load names its producer by sequence number, and an access
+//! the port refused carries a [`StallStamp`] from which the port settles
+//! a certain re-refusal without probing (the simulator spends most of its
+//! time here).
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -25,20 +28,66 @@ pub enum Access {
     Stall,
 }
 
+/// When a pending access was last refused, on its port's own clock.
+///
+/// Each unissued load or store carries one. The core only stores it and
+/// hands it back to the port with every offer of that access: the port
+/// writes it in [`MemPort::access`] and reads it in both calls, so a port
+/// can tell that nothing which could let a refused access through has
+/// happened since, and answer without probing. [`StallStamp::FRESH`]
+/// (an access never refused) always takes the port's full path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StallStamp(u64);
+
+impl StallStamp {
+    /// The stamp of an access the port has not refused.
+    pub const FRESH: Self = Self(u64::MAX);
+
+    /// A refusal at `clock` on the port's clock, which must stay below
+    /// `u64::MAX`.
+    pub fn at(clock: u64) -> Self {
+        debug_assert!(clock != u64::MAX, "stall clock overflow");
+        Self(clock)
+    }
+
+    /// The port clock of the last refusal; `None` when fresh.
+    pub fn refused_at(self) -> Option<u64> {
+        (self != Self::FRESH).then_some(self.0)
+    }
+}
+
+impl Default for StallStamp {
+    fn default() -> Self {
+        Self::FRESH
+    }
+}
+
 /// The memory hierarchy as seen by one core. Implemented by the SoC
 /// wiring (L1 → L2 → pacer → network → …).
 pub trait MemPort {
     /// Offers a load/store of `line` tagged `id`. Stores use the same path
-    /// (write-allocate RFO).
-    fn access(&mut self, now: Cycle, line: LineAddr, store: bool, id: LoadId) -> Access;
+    /// (write-allocate RFO). `stamp` is the access's own [`StallStamp`]:
+    /// a port that reads it must update it on every call, and may settle
+    /// a retry the stamp proves will stall again by counting the effects
+    /// a real retry has, without repeating its lookups. Ports that keep
+    /// no stamps ignore it.
+    fn access(
+        &mut self,
+        now: Cycle,
+        line: LineAddr,
+        store: bool,
+        id: LoadId,
+        stamp: &mut StallStamp,
+    ) -> Access;
 
-    /// True when [`MemPort::access`] on `line` would certainly return
-    /// [`Access::Stall`] now, and keep doing so until the port's owner
-    /// delivers a fill. An implementation answering `true` must be able
-    /// to batch-account whatever a stalled access mutates (see
-    /// [`OooCore::stalled_accesses`]). The default `false` is always
-    /// sound: it only keeps [`OooCore::next_event_with`] conservative.
-    fn would_stall(&self, _line: LineAddr, _store: bool) -> bool {
+    /// True when [`MemPort::access`] on `line` with `stamp` would
+    /// certainly return [`Access::Stall`] now, and keep doing so until
+    /// the port's owner delivers a fill. An implementation answering
+    /// `true` must be able to batch-account whatever a stalled access
+    /// mutates (see [`OooCore::stalled_accesses`]). The default `false`
+    /// is always sound: it only keeps [`OooCore::next_event_with`]
+    /// conservative.
+    fn would_stall(&self, _line: LineAddr, _store: bool, _stamp: StallStamp) -> bool {
         false
     }
 }
@@ -48,7 +97,7 @@ pub trait MemPort {
 struct Opaque;
 
 impl MemPort for Opaque {
-    fn access(&mut self, _now: Cycle, _line: LineAddr, _store: bool, _id: LoadId) -> Access {
+    fn access(&mut self, _: Cycle, _: LineAddr, _: bool, _: LoadId, _: &mut StallStamp) -> Access {
         Access::Stall
     }
 }
@@ -96,8 +145,9 @@ impl CoreStats {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LoadState {
-    /// Waiting for its address dependence (the producer load) to resolve.
-    WaitDep(LoadId),
+    /// Waiting for its address dependence to resolve: the producer load's
+    /// sequence number, resolved at dispatch.
+    WaitDep(u64),
     /// Address known; not yet accepted by the memory port.
     Ready,
     /// In the memory system.
@@ -116,12 +166,14 @@ enum Entry {
         id: LoadId,
         line: LineAddr,
         state: LoadState,
+        stamp: StallStamp,
     },
     /// A store waiting to be accepted by the port (`issued` false) or
     /// retired (`issued` true).
     Store {
         line: LineAddr,
         issued: bool,
+        stamp: StallStamp,
     },
     Marker {
         tag: u64,
@@ -140,9 +192,10 @@ pub struct OooCore {
     /// Sequence number of `rob[0]`; entry `seq` lives at `seq - head_seq`.
     head_seq: u64,
     rob_insts: u32,
-    /// Load id → entry sequence number, for fills and dependence checks.
-    /// A BTreeMap so any iteration is id-ordered, never hasher-ordered
-    /// (simlint L1: simulation state must be deterministic).
+    /// Load id → entry sequence number, for fills and for resolving a
+    /// dependent load's producer at dispatch. A BTreeMap so any
+    /// iteration is id-ordered, never hasher-ordered (simlint L1:
+    /// simulation state must be deterministic).
     load_pos: BTreeMap<LoadId, u64>,
     /// Entry seqs that still need issue-stage work.
     attention: Vec<u64>,
@@ -303,30 +356,19 @@ impl OooCore {
                 let Some(idx) = seq.checked_sub(self.head_seq) else { return Some(now) };
                 let Some(entry) = self.rob.get(idx as usize) else { return Some(now) };
                 match entry {
-                    Entry::Load { state, line, .. } => match state {
-                        LoadState::WaitDep(dep) => match self.load_pos.get(dep) {
-                            // Producer already retired: resolving the
+                    Entry::Load { state, line, stamp, .. } => match state {
+                        LoadState::WaitDep(pseq) => match self.dep_done_at(*pseq) {
+                            // Producer done (or retired): resolving the
                             // dependence is itself a state change.
-                            None => return Some(now),
-                            Some(&pseq) => {
-                                let pidx = (pseq - self.head_seq) as usize;
-                                match self.rob.get(pidx) {
-                                    Some(Entry::Load { state: LoadState::Done(at), .. }) => {
-                                        if *at <= now {
-                                            return Some(now);
-                                        }
-                                        h.add(*at);
-                                    }
-                                    // Producer still in flight: it (or
-                                    // the memory system) owns the wake.
-                                    Some(Entry::Load { .. }) => {}
-                                    _ => return Some(now),
-                                }
-                            }
+                            Some(at) if at <= now => return Some(now),
+                            Some(at) => h.add(at),
+                            // Producer still in flight: it (or the
+                            // memory system) owns the wake.
+                            None => {}
                         },
                         LoadState::Ready => {
                             if self.outstanding < self.cfg.max_outstanding
-                                && !port.would_stall(*line, false)
+                                && !port.would_stall(*line, false, *stamp)
                             {
                                 // The port access could hit or miss, and
                                 // either mutates something.
@@ -338,8 +380,8 @@ impl OooCore {
                         // assumption broke — refuse to skip over it.
                         LoadState::Issued | LoadState::Done(_) => return Some(now),
                     },
-                    Entry::Store { line, issued } => {
-                        if !*issued && !port.would_stall(*line, true) {
+                    Entry::Store { line, issued, stamp } => {
+                        if !*issued && !port.would_stall(*line, true, *stamp) {
                             return Some(now);
                         }
                     }
@@ -378,6 +420,17 @@ impl OooCore {
             "skip accrual on a core whose dispatch is not blocked"
         );
         self.stats.rob_full_cycles += cycles;
+    }
+
+    /// When the load at sequence number `pseq` has its data: `Some(0)`
+    /// once it retired, its completion cycle once `Done`, `None` while
+    /// it is still waiting or in flight.
+    fn dep_done_at(&self, pseq: u64) -> Option<Cycle> {
+        let Some(pidx) = pseq.checked_sub(self.head_seq) else { return Some(0) };
+        match self.rob.get(pidx as usize) {
+            Some(Entry::Load { state: LoadState::Done(at), .. }) => Some(*at),
+            _ => None,
+        }
     }
 
     fn entry_mut(&mut self, seq: u64) -> Option<&mut Entry> {
@@ -449,82 +502,53 @@ impl OooCore {
                 break;
             }
             let Some(idx) = seq.checked_sub(self.head_seq) else { continue };
-            let Some(entry) = self.rob.get_mut(idx as usize) else { continue };
-            match entry {
-                Entry::Load { id, line, state } => {
-                    let (id, line) = (*id, *line);
-                    // Resolve dependence: the producer is done when its
-                    // entry says so, or it already retired.
-                    if let LoadState::WaitDep(dep) = *state {
-                        let dep_done = match self.load_pos.get(&dep).copied() {
-                            None => true,
-                            Some(pseq) => {
-                                let pidx = (pseq - self.head_seq) as usize;
-                                matches!(
-                                    self.rob.get(pidx),
-                                    Some(Entry::Load { state: LoadState::Done(at), .. })
-                                        if *at <= now
-                                )
-                            }
-                        };
-                        if dep_done {
-                            if let Some(Entry::Load { state, .. }) = self.rob.get_mut(idx as usize)
-                            {
-                                *state = LoadState::Ready;
-                            }
-                        } else {
-                            kept.push(seq);
-                            continue;
-                        }
-                    }
-                    // Try to issue a Ready load.
-                    if issued_this_cycle < 2 && self.outstanding < self.cfg.max_outstanding {
-                        match port.access(now, line, false, id) {
-                            Access::Hit(lat) => {
-                                if let Some(Entry::Load { state, .. }) =
-                                    self.rob.get_mut(idx as usize)
-                                {
-                                    *state = LoadState::Done(now + lat);
-                                }
-                                self.stats.loads += 1;
-                                issued_this_cycle += 1;
-                            }
-                            Access::Miss => {
-                                if let Some(Entry::Load { state, .. }) =
-                                    self.rob.get_mut(idx as usize)
-                                {
-                                    *state = LoadState::Issued;
-                                }
-                                self.outstanding += 1;
-                                self.stats.loads += 1;
-                                issued_this_cycle += 1;
-                            }
-                            Access::Stall => kept.push(seq),
-                        }
-                    } else {
-                        kept.push(seq);
-                    }
+            let idx = idx as usize;
+            if let Some(Entry::Store { line, issued, stamp }) = self.rob.get_mut(idx) {
+                debug_assert!(!*issued, "issued stores leave the attention list");
+                if port.access(now, *line, true, LoadId(u64::MAX), stamp) == Access::Stall {
+                    kept.push(seq);
+                } else {
+                    // Store-buffer semantics: retire on issue; the
+                    // hierarchy's MSHRs bound the fill.
+                    *issued = true;
+                    self.stats.stores += 1;
+                    self.attention_stores -= 1;
+                    issued_this_cycle += 1;
                 }
-                Entry::Store { line, issued } => {
-                    debug_assert!(!*issued, "issued stores leave the attention list");
-                    if issued_this_cycle < 2 {
-                        match port.access(now, *line, true, LoadId(u64::MAX)) {
-                            Access::Hit(_) | Access::Miss => {
-                                // Store-buffer semantics: retire on issue;
-                                // the hierarchy's MSHRs bound the fill.
-                                *issued = true;
-                                self.stats.stores += 1;
-                                self.attention_stores -= 1;
-                                issued_this_cycle += 1;
-                            }
-                            Access::Stall => kept.push(seq),
-                        }
-                    } else {
-                        kept.push(seq);
-                    }
-                }
-                _ => {}
+                continue;
             }
+            // Resolve an address dependence: the producer is done when its
+            // entry says so, or it already retired.
+            if let Some(Entry::Load { state: LoadState::WaitDep(pseq), .. }) = self.rob.get(idx) {
+                if self.dep_done_at(*pseq).is_none_or(|at| at > now) {
+                    kept.push(seq);
+                    continue;
+                }
+            }
+            let Some(Entry::Load { id, line, state, stamp }) = self.rob.get_mut(idx) else {
+                continue;
+            };
+            if let LoadState::WaitDep(_) = state {
+                *state = LoadState::Ready;
+            }
+            // Try to issue a Ready load.
+            if self.outstanding >= self.cfg.max_outstanding {
+                kept.push(seq);
+                continue;
+            }
+            match port.access(now, *line, false, *id, stamp) {
+                Access::Hit(lat) => *state = LoadState::Done(now + lat),
+                Access::Miss => {
+                    *state = LoadState::Issued;
+                    self.outstanding += 1;
+                }
+                Access::Stall => {
+                    kept.push(seq);
+                    continue;
+                }
+            }
+            self.stats.loads += 1;
+            issued_this_cycle += 1;
         }
         self.attention = kept;
         // Recycle the drained list's capacity for the next cycle's `kept`.
@@ -558,18 +582,20 @@ impl OooCore {
                     budget = budget.saturating_sub(n.max(1));
                 }
                 Op::Load { addr, id, dep } => {
-                    let state = match dep {
-                        Some(d) if self.load_pos.contains_key(&d) => LoadState::WaitDep(d),
-                        _ => LoadState::Ready,
+                    let state = match dep.and_then(|d| self.load_pos.get(&d)) {
+                        Some(&pseq) => LoadState::WaitDep(pseq),
+                        None => LoadState::Ready,
                     };
                     self.load_pos.insert(id, seq);
-                    self.rob.push_back(Entry::Load { id, line: addr.line(), state });
+                    let stamp = StallStamp::FRESH;
+                    self.rob.push_back(Entry::Load { id, line: addr.line(), state, stamp });
                     self.rob_insts += 1;
                     self.attention.push(seq);
                     budget -= 1;
                 }
                 Op::Store { addr } => {
-                    self.rob.push_back(Entry::Store { line: addr.line(), issued: false });
+                    let stamp = StallStamp::FRESH;
+                    self.rob.push_back(Entry::Store { line: addr.line(), issued: false, stamp });
                     self.rob_insts += 1;
                     self.attention.push(seq);
                     self.attention_stores += 1;
@@ -592,7 +618,14 @@ mod tests {
     /// Memory that always hits with a fixed latency.
     struct FlatMem(u64);
     impl MemPort for FlatMem {
-        fn access(&mut self, _n: Cycle, _l: LineAddr, _s: bool, _i: LoadId) -> Access {
+        fn access(
+            &mut self,
+            _: Cycle,
+            _: LineAddr,
+            _: bool,
+            _: LoadId,
+            _: &mut StallStamp,
+        ) -> Access {
             Access::Hit(self.0)
         }
     }
@@ -603,7 +636,14 @@ mod tests {
         issued: Vec<LoadId>,
     }
     impl MemPort for MissMem {
-        fn access(&mut self, _n: Cycle, _l: LineAddr, store: bool, id: LoadId) -> Access {
+        fn access(
+            &mut self,
+            _: Cycle,
+            _: LineAddr,
+            store: bool,
+            id: LoadId,
+            _: &mut StallStamp,
+        ) -> Access {
             if !store {
                 self.issued.push(id);
             }
@@ -836,7 +876,14 @@ mod tests {
             stalls_left: u32,
         }
         impl MemPort for Flaky {
-            fn access(&mut self, _n: Cycle, _l: LineAddr, _s: bool, _i: LoadId) -> Access {
+            fn access(
+                &mut self,
+                _: Cycle,
+                _: LineAddr,
+                _: bool,
+                _: LoadId,
+                _: &mut StallStamp,
+            ) -> Access {
                 if self.stalls_left > 0 {
                     self.stalls_left -= 1;
                     Access::Stall
@@ -968,7 +1015,14 @@ mod tests {
         calls: u64,
     }
     impl MemPort for MshrMem {
-        fn access(&mut self, _n: Cycle, line: LineAddr, _s: bool, _i: LoadId) -> Access {
+        fn access(
+            &mut self,
+            _: Cycle,
+            line: LineAddr,
+            _: bool,
+            _: LoadId,
+            _: &mut StallStamp,
+        ) -> Access {
             self.calls += 1;
             if self.present.contains(&line) {
                 Access::Hit(50)
@@ -981,7 +1035,7 @@ mod tests {
                 Access::Stall
             }
         }
-        fn would_stall(&self, line: LineAddr, _store: bool) -> bool {
+        fn would_stall(&self, line: LineAddr, _store: bool, _stamp: StallStamp) -> bool {
             self.inflight.len() >= self.cap
                 && !self.inflight.contains(&line)
                 && !self.present.contains(&line)
@@ -1107,5 +1161,97 @@ mod tests {
         run_to(&mut core, &mut wl, &mut mem, 20);
         assert_eq!(core.next_event_with(20, &mem), Some(51));
         assert_eq!(core.next_event_with(51, &mem), Some(51));
+    }
+
+    /// Misses on `miss`, hits everything else after `lat` cycles, and
+    /// logs the cycle each load is accepted.
+    struct Logged {
+        lat: u64,
+        miss: LineAddr,
+        log: Vec<(Cycle, LoadId)>,
+    }
+    impl MemPort for Logged {
+        fn access(
+            &mut self,
+            now: Cycle,
+            line: LineAddr,
+            _: bool,
+            id: LoadId,
+            _: &mut StallStamp,
+        ) -> Access {
+            self.log.push((now, id));
+            if line == self.miss {
+                Access::Miss
+            } else {
+                Access::Hit(self.lat)
+            }
+        }
+    }
+
+    /// The cycle `port` accepted load `id`.
+    fn accepted_at(port: &Logged, id: u64) -> Option<Cycle> {
+        port.log.iter().find(|a| a.1 == LoadId(id)).map(|a| a.0)
+    }
+
+    #[test]
+    fn wait_dep_resolves_once_its_producer_has_retired() {
+        // Load 1 issues at cycle 1 and has its data at 6; load 2 waits on
+        // it. At cycle 6 the retire stage pops load 1 before the issue
+        // stage looks at load 2, whose producer is then behind the head.
+        let mut core = OooCore::new(rob16());
+        let mut port = Logged { lat: 5, miss: LineAddr::new(u64::MAX), log: Vec::new() };
+        let mut wl = Chain { next: 0 };
+        for now in 0..6 {
+            core.step(now, &mut wl, &mut port);
+        }
+        assert_eq!(accepted_at(&port, 1), Some(1));
+        assert!(matches!(core.rob[1], Entry::Load { state: LoadState::WaitDep(0), .. }));
+        core.step(6, &mut wl, &mut port);
+        assert!(core.head_seq > 0, "the producer retired");
+        assert_eq!(accepted_at(&port, 2), Some(6), "the consumer issues in the same step");
+    }
+
+    #[test]
+    fn wait_dep_producer_done_in_the_future_is_a_timed_wake() {
+        // Load 1 misses and holds the head; load 2 hits at cycle 1 with
+        // its data at 31; load 3 waits on load 2, and the three-entry
+        // ROB blocks dispatch. Load 2's data arrival is the only wake.
+        let cfg = CoreConfig { rob: 3, width: 4, max_outstanding: 4 };
+        let mut core = OooCore::new(cfg);
+        let mut port = Logged { lat: 30, miss: LineAddr::new(1), log: Vec::new() };
+        let mut wl = Script::new(vec![
+            Op::Load { addr: Addr::new(64), id: LoadId(1), dep: None },
+            Op::Load { addr: Addr::new(2 * 64), id: LoadId(2), dep: None },
+            Op::Load { addr: Addr::new(3 * 64), id: LoadId(3), dep: Some(LoadId(2)) },
+        ]);
+        for now in 0..2 {
+            core.step(now, &mut wl, &mut port);
+        }
+        assert_eq!(accepted_at(&port, 2), Some(1));
+        for now in 2..31 {
+            assert_eq!(core.next_event(now), Some(31), "cycle {now}");
+            core.step(now, &mut wl, &mut port);
+        }
+        assert_eq!(accepted_at(&port, 3), None, "load 3 waits for its producer's data");
+        assert_eq!(core.next_event(31), Some(31));
+        core.step(31, &mut wl, &mut port);
+        assert_eq!(accepted_at(&port, 3), Some(31));
+    }
+
+    #[test]
+    fn a_deep_chain_behind_an_issued_head_has_no_event() {
+        // 64 chained loads fill the ROB; the head missed and no fill
+        // comes, so every other load waits on a producer in flight.
+        let mut core = OooCore::new(CoreConfig { rob: 64, width: 4, max_outstanding: 16 });
+        let mut mem = MissMem::default();
+        let mut wl = Chain { next: 0 };
+        for now in 0..40 {
+            core.step(now, &mut wl, &mut mem);
+        }
+        assert_eq!(core.rob.len(), 64);
+        assert!(matches!(core.rob[0], Entry::Load { state: LoadState::Issued, .. }));
+        assert_eq!(core.attention.len(), 63);
+        assert_eq!(core.next_event_with(40, &mem), None);
+        assert_eq!(core.next_event(40), None);
     }
 }

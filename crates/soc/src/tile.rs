@@ -11,6 +11,7 @@ use std::collections::VecDeque;
 use pabst_cache::{LineAddr, MshrOutcome, MshrTable, SetAssocCache};
 use pabst_core::pacer::Pacer;
 use pabst_core::qos::QosId;
+use pabst_cpu::core_model::StallStamp;
 use pabst_cpu::{Access, LoadId, MemPort, OooCore, Workload};
 use pabst_simkit::Cycle;
 
@@ -34,6 +35,11 @@ pub struct InjectReq {
     /// Whether any waiter is a store (fill dirty).
     pub store: bool,
 }
+
+/// How many recent admissions [`TileMem`] remembers. The core issues at
+/// most two accesses per step, so this covers one step and the one
+/// before it.
+const RECENT: usize = 4;
 
 /// The tile's L1/L2 front end, kept separate from the core so the borrow
 /// of the core during `step` doesn't alias the port.
@@ -69,6 +75,14 @@ pub struct TileMem {
     /// Recycled waiter buffer for [`TileMem::on_fill`] (no per-fill
     /// allocation on the response hot path).
     fill_scratch: Vec<L2Waiter>,
+    /// Lines admitted to L1 ∪ L2 ∪ MSHR table so far: the clock
+    /// [`StallStamp`]s are read on. Nothing else adds a line to that
+    /// union, so an access refused for a line outside it stays refused
+    /// while the table is full and its line is not admitted.
+    admitted: u64,
+    /// The last [`RECENT`] admitted lines; admission `k` sits at
+    /// `k % RECENT`.
+    recent: [LineAddr; RECENT],
 }
 
 impl TileMem {
@@ -104,6 +118,8 @@ impl TileMem {
             l2_lat,
             l2_wb_q: VecDeque::new(),
             fill_scratch: Vec::new(),
+            admitted: 0,
+            recent: [LineAddr::new(0); RECENT],
         }
     }
 
@@ -128,6 +144,11 @@ impl TileMem {
         let mut waiters = std::mem::take(&mut self.fill_scratch);
         waiters.clear();
         self.mshrs.complete_into(line, &mut waiters);
+        // Every tracked line has at least its primary waiter, so no
+        // waiters means the table was not tracking `line`.
+        if waiters.is_empty() {
+            self.admit(line);
+        }
         let dirty = waiters.iter().any(|w| w.store);
         if let Some(ev) = self.l2.fill(line, self.class, dirty) {
             if ev.dirty {
@@ -260,10 +281,25 @@ impl TileMem {
         self.l1.note_probe_misses(n);
         self.l2.note_probe_misses(n);
     }
-}
 
-impl MemPort for TileMem {
-    fn access(&mut self, _now: Cycle, line: LineAddr, store: bool, id: LoadId) -> Access {
+    /// Records `line` entering L1 ∪ L2 ∪ MSHR table.
+    fn admit(&mut self, line: LineAddr) {
+        self.recent[(self.admitted % RECENT as u64) as usize] = line;
+        self.admitted += 1;
+    }
+
+    /// True when an access to `line` refused at `stamp` is refused again
+    /// now, known without a lookup: the table is still full, and none of
+    /// the at most [`RECENT`] admissions since the refusal was `line`.
+    fn stalls_again(&self, line: LineAddr, stamp: StallStamp) -> bool {
+        let Some(at) = stamp.refused_at() else { return false };
+        self.mshrs.is_full()
+            && self.admitted - at <= RECENT as u64
+            && (at..self.admitted).all(|k| self.recent[(k % RECENT as u64) as usize] != line)
+    }
+
+    /// The full access path: probe L1, then L2, then allocate an MSHR.
+    fn full_access(&mut self, line: LineAddr, store: bool, id: LoadId) -> Access {
         // L1 probe.
         let l1_hit = if store { self.l1.probe_write(line) } else { self.l1.probe(line) };
         if l1_hit {
@@ -288,6 +324,7 @@ impl MemPort for TileMem {
         let waiter = L2Waiter { load: (!store).then_some(id), store };
         match self.mshrs.alloc(line, waiter) {
             MshrOutcome::Primary => {
+                self.admit(line);
                 self.inject_q.push_back(InjectReq { line, store });
                 Access::Miss
             }
@@ -295,15 +332,45 @@ impl MemPort for TileMem {
             MshrOutcome::Full => Access::Stall,
         }
     }
+}
+
+impl MemPort for TileMem {
+    /// A retry that [`TileMem::stalls_again`] settles is counted, not
+    /// made: a real one would probe L1 and L2, miss both, and find the
+    /// table full, which mutates nothing else. Every other access takes
+    /// the full path. A refusal stamps the access with the admission
+    /// clock; any other outcome clears its stamp.
+    fn access(
+        &mut self,
+        _now: Cycle,
+        line: LineAddr,
+        store: bool,
+        id: LoadId,
+        stamp: &mut StallStamp,
+    ) -> Access {
+        let outcome = if self.stalls_again(line, *stamp) {
+            self.accrue_stalled_probes(1);
+            Access::Stall
+        } else {
+            self.full_access(line, store, id)
+        };
+        *stamp = match outcome {
+            Access::Stall => StallStamp::at(self.admitted),
+            Access::Hit(_) | Access::Miss => StallStamp::FRESH,
+        };
+        outcome
+    }
 
     /// A full MSHR table refuses any line it is not already fetching,
     /// and only a fill ([`TileMem::on_fill`]) frees an entry or changes
-    /// what L1 and L2 hold. Loads and stores take the same path.
-    fn would_stall(&self, line: LineAddr, _store: bool) -> bool {
-        self.mshrs.is_full()
-            && !self.mshrs.contains(line)
-            && !self.l1.contains(line)
-            && !self.l2.contains(line)
+    /// what L1 and L2 hold. Loads and stores take the same path. A stamp
+    /// [`TileMem::stalls_again`] settles answers without a lookup.
+    fn would_stall(&self, line: LineAddr, _store: bool, stamp: StallStamp) -> bool {
+        self.stalls_again(line, stamp)
+            || (self.mshrs.is_full()
+                && !self.mshrs.contains(line)
+                && !self.l1.contains(line)
+                && !self.l2.contains(line))
     }
 }
 
@@ -387,7 +454,7 @@ mod tests {
     #[test]
     fn miss_allocates_mshr_and_queues_injection() {
         let mut m = mem(Vec::new());
-        let r = m.access(0, line(1), false, LoadId(1));
+        let r = m.access(0, line(1), false, LoadId(1), &mut StallStamp::default());
         assert_eq!(r, Access::Miss);
         assert_eq!(m.mshrs.len(), 1);
         assert!(m.try_inject(0).is_some(), "primary miss must inject");
@@ -397,8 +464,14 @@ mod tests {
     #[test]
     fn secondary_miss_does_not_reinject() {
         let mut m = mem(Vec::new());
-        assert_eq!(m.access(0, line(1), false, LoadId(1)), Access::Miss);
-        assert_eq!(m.access(0, line(1), false, LoadId(2)), Access::Miss);
+        assert_eq!(
+            m.access(0, line(1), false, LoadId(1), &mut StallStamp::default()),
+            Access::Miss
+        );
+        assert_eq!(
+            m.access(0, line(1), false, LoadId(2), &mut StallStamp::default()),
+            Access::Miss
+        );
         assert_eq!(m.mshrs.len(), 1, "secondary merges");
         let _ = m.try_inject(0);
         assert!(m.try_inject(0).is_none());
@@ -408,26 +481,35 @@ mod tests {
     fn mshr_exhaustion_stalls() {
         let mut m = mem(Vec::new());
         for i in 0..4 {
-            assert_eq!(m.access(0, line(i * 64), false, LoadId(i)), Access::Miss);
+            assert_eq!(
+                m.access(0, line(i * 64), false, LoadId(i), &mut StallStamp::default()),
+                Access::Miss
+            );
         }
-        assert_eq!(m.access(0, line(999), false, LoadId(9)), Access::Stall);
+        assert_eq!(
+            m.access(0, line(999), false, LoadId(9), &mut StallStamp::default()),
+            Access::Stall
+        );
     }
 
     #[test]
     fn fill_wakes_all_waiters_and_hits_after() {
         let mut m = mem(Vec::new());
-        let _ = m.access(0, line(5), false, LoadId(1));
-        let _ = m.access(0, line(5), false, LoadId(2));
+        let _ = m.access(0, line(5), false, LoadId(1), &mut StallStamp::default());
+        let _ = m.access(0, line(5), false, LoadId(2), &mut StallStamp::default());
         let waiters = m.on_fill(line(5));
         assert_eq!(waiters.len(), 2);
         // Now a hit in L1 (fast path).
-        assert_eq!(m.access(1, line(5), false, LoadId(3)), Access::Hit(4));
+        assert_eq!(
+            m.access(1, line(5), false, LoadId(3), &mut StallStamp::default()),
+            Access::Hit(4)
+        );
     }
 
     #[test]
     fn store_miss_fills_dirty_and_later_evicts_as_writeback() {
         let mut m = mem(Vec::new());
-        assert_eq!(m.access(0, line(7), true, LoadId(1)), Access::Miss);
+        assert_eq!(m.access(0, line(7), true, LoadId(1), &mut StallStamp::default()), Access::Miss);
         let w = m.on_fill(line(7));
         assert!(w[0].store);
         // Thrash the L2 set containing line 7 to force its eviction
@@ -436,7 +518,7 @@ mod tests {
         let mut wbs = Vec::new();
         for k in 1..=8 {
             let l = line(7 + 32 * k);
-            let _ = m.access(0, l, false, LoadId(10 + k));
+            let _ = m.access(0, l, false, LoadId(10 + k), &mut StallStamp::default());
             m.on_fill(l);
             while let Some(wb) = m.pop_l2_writeback() {
                 wbs.push(wb);
@@ -448,8 +530,8 @@ mod tests {
     #[test]
     fn pacer_gates_injection() {
         let mut m = mem(vec![Pacer::with_burst(1000, 1)]);
-        let _ = m.access(0, line(1), false, LoadId(1));
-        let _ = m.access(0, line(2), false, LoadId(2));
+        let _ = m.access(0, line(1), false, LoadId(1), &mut StallStamp::default());
+        let _ = m.access(0, line(2), false, LoadId(2), &mut StallStamp::default());
         assert!(m.try_inject(0).is_some(), "first injection rides initial credit");
         assert!(m.try_inject(1).is_none(), "second is paced");
         assert!(m.try_inject(1000).is_some(), "period elapsed");
@@ -459,15 +541,15 @@ mod tests {
     fn next_inject_at_tracks_the_head_pacer() {
         let mut m = mem(vec![Pacer::with_burst(1000, 1)]);
         assert_eq!(m.next_inject_at(5), None, "empty queue has no horizon");
-        let _ = m.access(0, line(1), false, LoadId(1));
-        let _ = m.access(0, line(2), false, LoadId(2));
+        let _ = m.access(0, line(1), false, LoadId(1), &mut StallStamp::default());
+        let _ = m.access(0, line(2), false, LoadId(2), &mut StallStamp::default());
         assert_eq!(m.next_inject_at(0), Some(0), "initial credit issues now");
         assert!(m.try_inject(0).is_some());
         assert_eq!(m.next_inject_at(1), Some(1000), "head NACKed until the period elapses");
 
         // Unpaced tiles can always inject.
         let mut free = mem(Vec::new());
-        let _ = free.access(0, line(3), false, LoadId(3));
+        let _ = free.access(0, line(3), false, LoadId(3), &mut StallStamp::default());
         assert_eq!(free.next_inject_at(7), Some(7));
     }
 
@@ -476,8 +558,8 @@ mod tests {
         let mut naive = mem(vec![Pacer::with_burst(100, 1)]);
         let mut skipped = mem(vec![Pacer::with_burst(100, 1)]);
         for m in [&mut naive, &mut skipped] {
-            let _ = m.access(0, line(1), false, LoadId(1));
-            let _ = m.access(0, line(2), false, LoadId(2));
+            let _ = m.access(0, line(1), false, LoadId(1), &mut StallStamp::default());
+            let _ = m.access(0, line(2), false, LoadId(2), &mut StallStamp::default());
             assert!(m.try_inject(0).is_some());
         }
         for now in 1..100 {
@@ -500,7 +582,7 @@ mod tests {
         // settle as a shared hit: the refund is the 100 cycles actually
         // charged, re-clamped so credit cannot exceed the new burst window.
         let mut m = mem(vec![Pacer::with_burst(100, 2)]);
-        let _ = m.access(0, line(1), false, LoadId(1));
+        let _ = m.access(0, line(1), false, LoadId(1), &mut StallStamp::default());
         assert!(m.try_inject(0).is_some());
         m.pacers_mut()[0].set_period(10, 50);
         m.settle_response(line(1), true, false, 50);
@@ -515,7 +597,7 @@ mod tests {
         // Writeback flag: the extra charge is likewise the issue-time 100,
         // not the current 10.
         let mut m = mem(vec![Pacer::with_burst(100, 2)]);
-        let _ = m.access(0, line(2), false, LoadId(1));
+        let _ = m.access(0, line(2), false, LoadId(1), &mut StallStamp::default());
         assert!(m.try_inject(0).is_some()); // c_next = 100
         m.settle_response(line(2), false, true, 0); // c_next = 200
         assert_eq!(m.pacers()[0].credit_at(200), 0, "extra charge holds until cycle 200");
@@ -524,27 +606,34 @@ mod tests {
     #[test]
     fn l1_hit_is_fastest_path() {
         let mut m = mem(Vec::new());
-        let _ = m.access(0, line(3), false, LoadId(1));
+        let _ = m.access(0, line(3), false, LoadId(1), &mut StallStamp::default());
         m.on_fill(line(3));
-        assert_eq!(m.access(1, line(3), false, LoadId(2)), Access::Hit(4));
+        assert_eq!(
+            m.access(1, line(3), false, LoadId(2), &mut StallStamp::default()),
+            Access::Hit(4)
+        );
         // A line only in L2 (L1 victimized) returns the L2 latency.
         // Fill enough lines mapping to L1 set of line 3 (8 sets, 2 ways).
         for k in 1..=2 {
             let l = line(3 + 8 * k);
-            let _ = m.access(2, l, false, LoadId(10 + k));
+            let _ = m.access(2, l, false, LoadId(10 + k), &mut StallStamp::default());
             m.on_fill(l);
         }
-        assert_eq!(m.access(3, line(3), false, LoadId(5)), Access::Hit(14));
+        assert_eq!(
+            m.access(3, line(3), false, LoadId(5), &mut StallStamp::default()),
+            Access::Hit(14)
+        );
     }
 
     #[test]
     fn l2_stats_track_hits_and_misses() {
         let mut m = mem(Vec::new());
-        let _ = m.access(0, line(1), false, LoadId(1));
+        let _ = m.access(0, line(1), false, LoadId(1), &mut StallStamp::default());
         m.on_fill(line(1));
         let (h0, mi0) = m.l2_stats();
         // L1 was filled too, so probe L2 via an L1-missing line.
-        let _ = m.access(1, line(1 + 8), false, LoadId(2)); // different L1 set? ensure miss
+        // different L1 set? ensure miss
+        let _ = m.access(1, line(1 + 8), false, LoadId(2), &mut StallStamp::default());
         let (h1, mi1) = m.l2_stats();
         assert!(h1 + mi1 > h0 + mi0, "L2 must have been probed");
     }
@@ -626,5 +715,175 @@ mod tests {
             parked.step_core(now);
         }
         assert_eq!(snapshot(&naive), snapshot(&parked));
+    }
+
+    /// Forwards to [`TileMem`] but never passes the core's stamp on, so
+    /// every access takes the full path: the reference the stamp fast
+    /// path is checked against.
+    struct FullPath<'a>(&'a mut TileMem);
+
+    impl MemPort for FullPath<'_> {
+        fn access(
+            &mut self,
+            now: Cycle,
+            line: LineAddr,
+            store: bool,
+            id: LoadId,
+            stamp: &mut StallStamp,
+        ) -> Access {
+            *stamp = StallStamp::FRESH;
+            self.0.access(now, line, store, id, stamp)
+        }
+
+        fn would_stall(&self, line: LineAddr, store: bool, _stamp: StallStamp) -> bool {
+            self.0.would_stall(line, store, StallStamp::FRESH)
+        }
+    }
+
+    /// How the stamped retries of a run went.
+    #[derive(Debug, Default)]
+    struct StampCases {
+        /// Settled by the stamp without a lookup.
+        fast: u64,
+        /// Line admitted since the refusal: found in the ring, and the
+        /// full path merged it as a secondary miss.
+        ring_to_secondary: u64,
+        /// More than `RECENT` admissions since the refusal: full path.
+        overflow: u64,
+    }
+
+    /// Forwards to [`TileMem`] with the core's stamps, sorting each
+    /// stamped retry on a full table into a [`StampCases`] bucket.
+    struct Observed<'a> {
+        mem: &'a mut TileMem,
+        cases: &'a mut StampCases,
+    }
+
+    impl MemPort for Observed<'_> {
+        fn access(
+            &mut self,
+            now: Cycle,
+            line: LineAddr,
+            store: bool,
+            id: LoadId,
+            stamp: &mut StallStamp,
+        ) -> Access {
+            let m = &*self.mem;
+            let since = stamp.refused_at().filter(|_| m.mshrs.is_full()).map(|at| m.admitted - at);
+            let fast = m.stalls_again(line, *stamp);
+            let outcome = self.mem.access(now, line, store, id, stamp);
+            match since {
+                Some(n) if n > RECENT as u64 => self.cases.overflow += 1,
+                Some(_) if fast => self.cases.fast += 1,
+                Some(_) if outcome == Access::Miss => self.cases.ring_to_secondary += 1,
+                _ => {}
+            }
+            outcome
+        }
+
+        fn would_stall(&self, line: LineAddr, store: bool, stamp: StallStamp) -> bool {
+            self.mem.would_stall(line, store, stamp)
+        }
+    }
+
+    /// A seeded mix of compute, stores, independent loads and loads that
+    /// depend on the previous load, half of them to a pool of eight hot
+    /// lines (hits, merges and re-admissions), half to fresh lines.
+    struct Mix {
+        rng: pabst_simkit::rng::SimRng,
+        fresh: u64,
+        last_load: u64,
+    }
+
+    impl Workload for Mix {
+        fn next_op(&mut self) -> pabst_cpu::Op {
+            use pabst_cpu::Op;
+            let line = if self.rng.gen_bool(0.5) {
+                self.rng.gen_range(0..8)
+            } else {
+                self.fresh += 1;
+                1000 + self.fresh
+            };
+            let addr = pabst_cache::Addr::new(line * 64);
+            match self.rng.gen_range(0..10) {
+                0 | 1 => Op::Compute(self.rng.gen_range(1..4) as u32),
+                2..=5 => Op::Store { addr },
+                k => {
+                    self.last_load += 1;
+                    let dep = (k == 9 && self.last_load > 1).then(|| LoadId(self.last_load - 1));
+                    Op::Load { addr, id: LoadId(self.last_load), dep }
+                }
+            }
+        }
+        fn name(&self) -> &str {
+            "mix"
+        }
+    }
+
+    /// A tile with a two-entry MSHR table running [`Mix`] from `seed`.
+    /// Even seeds allow one outstanding load: Ready loads then sit out
+    /// whole runs of store admissions, which is what overflows the ring.
+    fn mix_tile(seed: u64) -> Tile {
+        let max_outstanding = if seed.is_multiple_of(2) { 1 } else { 4 };
+        let core = OooCore::new(pabst_cpu::CoreConfig { rob: 32, width: 4, max_outstanding });
+        let mem = TileMem::new(
+            QosId::new(0),
+            SetAssocCache::new(CacheConfig { sets: 4, ways: 2 }),
+            SetAssocCache::new(CacheConfig { sets: 8, ways: 2 }),
+            2,
+            4,
+            14,
+            Vec::new(),
+            4,
+            ChannelMap::XorFold,
+        );
+        let rng = pabst_simkit::rng::SimRng::seed_from_u64(seed);
+        Tile { core, mem, workload: Box::new(Mix { rng, fresh: 0, last_load: 0 }) }
+    }
+
+    #[test]
+    fn stamped_retries_match_the_full_path_cycle_by_cycle() {
+        let mut cases = StampCases::default();
+        for seed in 0..8 {
+            let (mut stamped, mut full) = (mix_tile(seed), mix_tile(seed));
+            let mut delays = pabst_simkit::rng::SimRng::seed_from_u64(seed ^ 0xF111);
+            let mut fills: Vec<(Cycle, LineAddr)> = Vec::new();
+            for now in 0..4_000 {
+                // Deliver due fills to both tiles, plus now and then a
+                // fill of a hot line nobody asked for: an admission the
+                // table never tracked.
+                let mut due: Vec<LineAddr> =
+                    fills.iter().filter(|f| f.0 == now).map(|f| f.1).collect();
+                fills.retain(|f| f.0 != now);
+                if delays.gen_range(0..50) == 0 {
+                    due.push(LineAddr::new(delays.gen_range(0..8)));
+                }
+                for line in due {
+                    fill(&mut stamped, line, now);
+                    fill(&mut full, line, now);
+                }
+                for t in [&mut stamped, &mut full] {
+                    while t.mem.pop_l2_writeback().is_some() {}
+                }
+                // Both tiles must inject the same misses.
+                while let Some(req) = stamped.mem.try_inject(now) {
+                    let twin = full.mem.try_inject(now).map(|r| r.line);
+                    assert_eq!(twin, Some(req.line), "seed {seed} cycle {now}");
+                    fills.push((now + delays.gen_range(1..60), req.line));
+                }
+                assert!(full.mem.try_inject(now).is_none(), "seed {seed} cycle {now}");
+
+                let horizon = stamped.core.next_event_with(now, &stamped.mem);
+                let reference = full.core.next_event_with(now, &FullPath(&mut full.mem));
+                assert_eq!(horizon, reference, "seed {seed} cycle {now}");
+                let mut port = Observed { mem: &mut stamped.mem, cases: &mut cases };
+                stamped.core.step(now, stamped.workload.as_mut(), &mut port);
+                full.core.step(now, full.workload.as_mut(), &mut FullPath(&mut full.mem));
+                assert_eq!(snapshot(&stamped), snapshot(&full), "seed {seed} cycle {now}");
+            }
+        }
+        assert!(cases.fast > 0, "{cases:?}");
+        assert!(cases.ring_to_secondary > 0, "{cases:?}");
+        assert!(cases.overflow > 0, "{cases:?}");
     }
 }
